@@ -15,19 +15,17 @@ CsrGraph::CsrGraph(std::uint64_t num_vertices, unsigned avg_degree, Rng &rng)
     const unsigned levels = floorLog2(n_);
     const std::uint64_t m = n_ * avg_degree;
 
-    // RMAT edge generation with Graph500 probabilities.
+    // RMAT edge generation: one 53-bit draw per level, compared
+    // branch-free against kRmatThreshold (see graph.hh).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_list;
     edge_list.reserve(m);
     for (std::uint64_t i = 0; i < m; ++i) {
         std::uint64_t src = 0, dst = 0;
         for (unsigned l = 0; l < levels; ++l) {
-            const double r = rng.uniform();
-            // quadrant probabilities: A=.57 B=.19 C=.19 D=.05
-            unsigned quad;
-            if (r < 0.57) quad = 0;
-            else if (r < 0.76) quad = 1;
-            else if (r < 0.95) quad = 2;
-            else quad = 3;
+            const std::uint64_t k = rng.next() >> 11;
+            const unsigned quad = unsigned{k >= kRmatThreshold[0]} +
+                                  unsigned{k >= kRmatThreshold[1]} +
+                                  unsigned{k >= kRmatThreshold[2]};
             src = (src << 1) | (quad >> 1);
             dst = (dst << 1) | (quad & 1);
         }
@@ -49,10 +47,13 @@ CsrGraph::CsrGraph(std::uint64_t num_vertices, unsigned avg_degree, Rng &rng)
         ++offsets_[e.first + 1];
     for (std::uint64_t v = 0; v < n_; ++v)
         offsets_[v + 1] += offsets_[v];
+    // Scatter with offsets_[v] as v's fill cursor; afterwards it holds
+    // v's end, which is v+1's begin, so one shift right restores it.
     edges_.resize(edge_list.size());
-    std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
     for (const auto &e : edge_list)
-        edges_[cursor[e.first]++] = e.second;
+        edges_[offsets_[e.first]++] = e.second;
+    std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+    offsets_[0] = 0;
 
     edges_base_ = Addr{(n_ + 1) * 8};
     // Align property arrays to a block boundary.

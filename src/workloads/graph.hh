@@ -27,6 +27,31 @@ class CsrGraph
 {
   public:
     /**
+     * RMAT quadrant thresholds on the raw 53-bit draw k = next() >> 11,
+     * for the Graph500 cumulative probabilities p = A, A+B, A+B+C
+     * (A=.57 B=.19 C=.19 D=.05). Each level's quadrant is the number of
+     * thresholds k reaches.
+     *
+     * Rng::uniform() is k * 2^-53. A double p in [0.5, 1) has exponent
+     * -1, so T = p * 2^53 is its 53-bit significand: an exact integer,
+     * and uniform() < p holds exactly when k < T. Comparing integers
+     * therefore draws the same RNG stream and picks the same quadrants
+     * as comparing doubles, so the graph and the caller's final Rng
+     * state are unchanged by the choice.
+     */
+    static constexpr std::uint64_t kRmatThreshold[3] = {
+        static_cast<std::uint64_t>(0.57 * 0x1p53),
+        static_cast<std::uint64_t>(0.76 * 0x1p53),
+        static_cast<std::uint64_t>(0.95 * 0x1p53),
+    };
+    static_assert(static_cast<double>(kRmatThreshold[0]) == 0.57 * 0x1p53 &&
+                      static_cast<double>(kRmatThreshold[1]) ==
+                          0.76 * 0x1p53 &&
+                      static_cast<double>(kRmatThreshold[2]) ==
+                          0.95 * 0x1p53,
+                  "RMAT thresholds must be exact 53-bit integers");
+
+    /**
      * Generate an RMAT graph.
      * @param num_vertices  rounded up to a power of two
      * @param avg_degree    edges = vertices * avg_degree

@@ -67,6 +67,96 @@ TEST(Graph, RmatIsSkewed)
     EXPECT_GT(max_deg, 64u);
 }
 
+/** Test-only reference model: the original RMAT generator, which
+ *  compares Rng::uniform() doubles against the quadrant probabilities,
+ *  and its counting sort. CsrGraph must reproduce it byte for byte. */
+struct ReferenceRmat
+{
+    std::vector<std::uint64_t> offsets;
+    std::vector<std::uint32_t> edges;
+
+    ReferenceRmat(std::uint64_t num_vertices, unsigned avg_degree, Rng &rng)
+    {
+        std::uint64_t n = 1;
+        while (n < num_vertices)
+            n <<= 1;
+        const unsigned levels = floorLog2(n);
+        const std::uint64_t m = n * avg_degree;
+
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_list;
+        edge_list.reserve(m);
+        for (std::uint64_t i = 0; i < m; ++i) {
+            std::uint64_t src = 0, dst = 0;
+            for (unsigned l = 0; l < levels; ++l) {
+                const double r = rng.uniform();
+                // quadrant probabilities: A=.57 B=.19 C=.19 D=.05
+                unsigned quad;
+                if (r < 0.57) quad = 0;
+                else if (r < 0.76) quad = 1;
+                else if (r < 0.95) quad = 2;
+                else quad = 3;
+                src = (src << 1) | (quad >> 1);
+                dst = (dst << 1) | (quad & 1);
+            }
+            edge_list.emplace_back(static_cast<std::uint32_t>(src),
+                                   static_cast<std::uint32_t>(dst));
+        }
+
+        offsets.assign(n + 1, 0);
+        for (const auto &e : edge_list)
+            ++offsets[e.first + 1];
+        for (std::uint64_t v = 0; v < n; ++v)
+            offsets[v + 1] += offsets[v];
+        edges.resize(edge_list.size());
+        std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+        for (const auto &e : edge_list)
+            edges[cursor[e.first]++] = e.second;
+    }
+};
+
+TEST(Graph, MatchesDoubleCompareReference)
+{
+    for (const std::uint64_t vertices : {1000ull, 1ull << 12}) {
+        for (const unsigned degree : {4u, 8u, 16u}) {
+            for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "vertices=" << vertices
+                             << " degree=" << degree << " seed=" << seed);
+                Rng rng(seed), ref_rng(seed);
+                const CsrGraph g(vertices, degree, rng);
+                const ReferenceRmat ref(vertices, degree, ref_rng);
+
+                ASSERT_EQ(g.numVertices() + 1, ref.offsets.size());
+                ASSERT_EQ(g.numEdges(), ref.edges.size());
+                std::vector<std::uint64_t> offsets(ref.offsets.size());
+                for (std::uint64_t v = 0; v < g.numVertices(); ++v)
+                    offsets[v] = g.edgeBegin(v);
+                offsets.back() = g.edgeEnd(g.numVertices() - 1);
+                EXPECT_EQ(offsets, ref.offsets);
+                std::vector<std::uint32_t> edges(g.numEdges());
+                for (std::uint64_t e = 0; e < g.numEdges(); ++e)
+                    edges[e] = g.edgeTarget(e);
+                EXPECT_EQ(edges, ref.edges);
+                EXPECT_EQ(rng.state(), ref_rng.state());
+            }
+        }
+    }
+}
+
+TEST(Graph, IntegerThresholdsAgreeWithDoubleCompareAtBoundary)
+{
+    const double probs[3] = {0.57, 0.76, 0.95};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const double p = probs[i];
+        const std::uint64_t t = CsrGraph::kRmatThreshold[i];
+        for (const std::uint64_t k : {t - 1, t, t + 1}) {
+            SCOPED_TRACE(::testing::Message() << "p=" << p << " k=" << k);
+            const double r = static_cast<double>(k) * 0x1.0p-53;
+            EXPECT_EQ(!(k >= t), r < p);
+        }
+    }
+}
+
 TEST(Graph, AddressLayoutDisjoint)
 {
     Rng rng(3);

@@ -65,9 +65,9 @@ usage()
         "  --ctr-cache KB     MC counter cache size (default 128)\n"
         "  --l2-ctr-cap KB    EMCC L2 counter cap (default 32)\n"
         "  --page KB          page size in KB (default 2048)\n"
-        "  --warmup N         warmup instructions/core (default 150000)\n"
-        "  --measure N        measured instructions/core (default 300000)\n"
-        "  --trace-len N      trace references/core (default 600000)\n"
+        "  --warmup N         warmup instructions/core (default 100000)\n"
+        "  --measure N        measured instructions/core (default 200000)\n"
+        "  --trace-len N      trace references/core (default 400000)\n"
         "  --footprint-scale X\n"
         "                     scale the workload's data footprint by X\n"
         "                     (10 = ten times the paper's default; big\n"
