@@ -398,7 +398,7 @@ SecureSystem::insertL1(unsigned core, Addr pa, bool dirty)
         // L1 dirty eviction lands in L2 (write-back, timing-free).
         auto v2 = l2_[core].insert(victim->addr, LineClass::Data, true);
         if (v2)
-            handleL2Victim(core, *v2, curTick());
+            handleL2Victim(core, *v2);
     }
 }
 
@@ -783,14 +783,17 @@ SecureSystem::mcDataRead(unsigned core, Addr pa, Tick t_mc,
         allocJoin(std::move(fill_at_l2_cb), core, pa, resp_delta, rec);
     JoinState &join = join_pool_.at(slot);
 
-    // ---- crypto path
-    switch (cfg_.scheme) {
-      case Scheme::NonSecure:
+    // ---- crypto path: MC-only and the LLC baseline always decrypt at
+    // the MC; EMCC does when its counter path says so.
+    const bool emcc = cfg_.scheme == Scheme::Emcc;
+    if (cfg_.scheme == Scheme::NonSecure) {
         join.crypto_needed = false;
-        break;
-      case Scheme::McOnly:
-      case Scheme::LlcBaseline:
-        mcFetchCounter(pa, t_mc, /*count_buckets=*/true,
+    } else if (!emcc || ctr.mc_decrypts) {
+        // EMCC merges with the counter fetch already in flight (or a
+        // hit); its counter buckets were counted at the L2.
+        if (emcc)
+            ++stats_.decrypted_at_mc;
+        mcFetchCounter(pa, t_mc, /*count_buckets=*/!emcc,
                        fin([this, slot, rec, t_mc](Tick ctr_tick) {
             JoinState &j = join_pool_.at(slot);
             const Tick start = ctr_tick + design_->decodeLatency() +
@@ -812,68 +815,36 @@ SecureSystem::mcDataRead(unsigned core, Addr pa, Tick t_mc,
             }
             joinTryFinish(slot);
         }));
-        break;
-      case Scheme::Emcc:
-        if (ctr.mc_decrypts) {
-            ++stats_.decrypted_at_mc;
-            // Merge with the counter fetch already in flight (or a hit).
-            mcFetchCounter(pa, t_mc, /*count_buckets=*/false,
-                           fin([this, slot, rec, t_mc](Tick ctr_tick) {
-                JoinState &j = join_pool_.at(slot);
-                const Tick start = ctr_tick + design_->decodeLatency() +
-                                   aesStall();
-                j.crypto_done = mc_aes_.submit(start, 5);
-                if (trace_crypto_) {
-                    tracer_->span(obs::TraceCat::Crypto, mc_aes_track_,
-                                  "aes_decrypt", start, j.crypto_done);
-                }
-                if (rec) {
-                    rec->crypto_begin = t_mc;
-                    rec->crypto_end = j.crypto_done;
-                    rec->stamp(obs::MissSegment::CtrFetch, t_mc,
-                               ctr_tick);
-                    const Tick mac_b = std::max(
-                        start, j.crypto_done - cfg_.aes_latency);
-                    rec->stamp(obs::MissSegment::Aes, start, mac_b);
-                    rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                               j.crypto_done);
-                }
-                joinTryFinish(slot);
-            }));
-        } else {
-            ++stats_.decrypted_at_l2;
-            join.crypto_at_l2 = true;
-            panic_if(ctr.ctr_ready_at_l2 == kTickInvalid,
-                     "EMCC L2 crypto without a counter");
-            // The pool's *throughput* is consumed in submission order;
-            // the *start* of this block's AES is additionally gated on
-            // the decoded counter and (optionally) the LLC-hit-latency
-            // waste guard. Modeling them separately keeps one delayed
-            // start from idling the whole pool.
-            const Tick slot_done = l2_aes_[core]->submit(t_miss, 5);
-            Tick gate = ctr.ctr_ready_at_l2 + aesStall();
-            if (cfg_.llc_hit_wait)
-                gate = std::max(gate, t_miss + cfg_.llc_latency);
-            join.crypto_done = std::max(slot_done,
-                                        gate + cfg_.aes_latency);
-            if (trace_crypto_) {
-                tracer_->span(obs::TraceCat::Crypto,
-                              l2_aes_tracks_[core], "aes_decrypt",
-                              t_miss, join.crypto_done);
-            }
-            if (rec) {
-                rec->crypto_begin = ctr.ctr_start != kTickInvalid
-                                        ? ctr.ctr_start
-                                        : t_miss;
-                rec->crypto_end = join.crypto_done;
-                const Tick mac_b = std::max(
-                    gate, join.crypto_done - cfg_.aes_latency);
-                rec->stamp(obs::MissSegment::Aes, gate, mac_b);
-                rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                           join.crypto_done);
-            }
+    } else {
+        ++stats_.decrypted_at_l2;
+        join.crypto_at_l2 = true;
+        panic_if(ctr.ctr_ready_at_l2 == kTickInvalid,
+                 "EMCC L2 crypto without a counter");
+        // The pool's *throughput* is consumed in submission order; the
+        // *start* of this block's AES is additionally gated on the
+        // decoded counter and (optionally) the LLC-hit-latency waste
+        // guard. Modeling them separately keeps one delayed start from
+        // idling the whole pool.
+        const Tick slot_done = l2_aes_[core]->submit(t_miss, 5);
+        Tick gate = ctr.ctr_ready_at_l2 + aesStall();
+        if (cfg_.llc_hit_wait)
+            gate = std::max(gate, t_miss + cfg_.llc_latency);
+        join.crypto_done = std::max(slot_done, gate + cfg_.aes_latency);
+        if (trace_crypto_) {
+            tracer_->span(obs::TraceCat::Crypto, l2_aes_tracks_[core],
+                          "aes_decrypt", t_miss, join.crypto_done);
         }
-        break;
+        if (rec) {
+            rec->crypto_begin = ctr.ctr_start != kTickInvalid
+                                    ? ctr.ctr_start
+                                    : t_miss;
+            rec->crypto_end = join.crypto_done;
+            const Tick mac_b = std::max(
+                gate, join.crypto_done - cfg_.aes_latency);
+            rec->stamp(obs::MissSegment::Aes, gate, mac_b);
+            rec->stamp(obs::MissSegment::MacVerify, mac_b,
+                       join.crypto_done);
+        }
     }
 
     // ---- data path (always asynchronous: dramRequest posts an event,
@@ -1031,6 +1002,10 @@ SecureSystem::walkArrive(std::uint32_t slot, Tick when)
 void
 SecureSystem::mcHandleWriteback(Addr pa, Tick t)
 {
+    if (functional_) {
+        ffwdMcWriteback(pa);
+        return;
+    }
     if (cfg_.scheme == Scheme::NonSecure) {
         // No metadata, no encryption: the writeback goes straight out.
         dramRequest(pa, MemClass::Data, /*is_write=*/true, t, nullptr);
@@ -1049,14 +1024,7 @@ SecureSystem::mcHandleWriteback(Addr pa, Tick t)
         // The updated counter lives dirty in the MC cache; stale copies
         // elsewhere are invalidated (Fig 23 counts the L2 ones).
         insertMcCache(ctr, LineClass::Counter, true, ctr_tick);
-        if (cfg_.scheme == Scheme::Emcc) {
-            for (unsigned c = 0; c < cfg_.cores; ++c) {
-                if (l2_[c].invalidate(ctr))
-                    noteL2CounterGone(c, ctr, /*invalidated=*/true);
-            }
-        }
-        if (cfg_.countersInLlc())
-            llc_.invalidate(ctr);
+        invalidateStaleCounter(ctr);
 
         // Encrypt + MAC update: 8 AES ops (4 encrypt + 4 MAC words).
         const Tick aes_done = mc_aes_.submit(
@@ -1124,6 +1092,13 @@ void
 SecureSystem::dramRequest(Addr addr, MemClass cls, bool is_write, Tick t,
                           FinishCb done, obs::MissRecord *attrib)
 {
+    if (functional_) {
+        // Fast-forward walks its reads inline; only the write traffic
+        // of the shared fill layer arrives here, as a row touch now.
+        panic_if(!is_write, "functional DRAM read");
+        dram_.functionalTouch(addr, curTick());
+        return;
+    }
     // done is a 16-byte pooled handle (the closure itself stays put in
     // the FinishPool slab), so this — the hottest scheduling site in
     // the tree — copies only plain values into the event entry.
@@ -1313,17 +1288,17 @@ SecureSystem::tryEnqueueDram(Addr addr, MemClass cls, bool is_write,
 void
 SecureSystem::insertL2Data(unsigned core, Addr pa, bool dirty, Tick t)
 {
-    sim().post(std::max(t, curTick()), [this, core, pa, dirty] {
+    at(t, [this, core, pa, dirty] {
         auto victim = l2_[core].insert(pa, LineClass::Data, dirty);
         if (victim)
-            handleL2Victim(core, *victim, curTick());
-    }, /*priority=*/0, EventTag::Cache);
+            handleL2Victim(core, *victim);
+    });
 }
 
 void
 SecureSystem::insertL2Counter(unsigned core, Addr ctr_addr, Tick t)
 {
-    sim().post(std::max(t, curTick()), [this, core, ctr_addr] {
+    at(t, [this, core, ctr_addr] {
         auto &inflight = l2_ctr_inflight_[core];
         inflight.erase(ctr_addr);
         // The useless-tracking entry normally exists already (created
@@ -1336,8 +1311,8 @@ SecureSystem::insertL2Counter(unsigned core, Addr ctr_addr, Tick t)
         auto victim = l2_[core].insert(ctr_addr, LineClass::Counter,
                                        false);
         if (victim)
-            handleL2Victim(core, *victim, curTick());
-    }, /*priority=*/0, EventTag::Cache);
+            handleL2Victim(core, *victim);
+    });
 }
 
 void
@@ -1356,27 +1331,28 @@ SecureSystem::noteL2CounterGone(unsigned core, Addr ctr_addr,
 }
 
 void
-SecureSystem::handleL2Victim(unsigned core, const Victim &v, Tick t)
+SecureSystem::handleL2Victim(unsigned core, const Victim &v)
 {
     if (v.cls == LineClass::Counter) {
         noteL2CounterGone(core, v.addr, /*invalidated=*/false);
         return;
     }
     // Non-inclusive hierarchy: L2 evictions fill the LLC as victims.
-    insertLlc(v.addr, v.cls, v.dirty, t);
+    insertLlc(v.addr, v.cls, v.dirty, curTick());
 }
 
 void
 SecureSystem::insertLlc(Addr pa, LineClass cls, bool dirty, Tick t,
                         bool unverified)
 {
-    sim().post(std::max(t, curTick()),
-                   [this, pa, cls, dirty, unverified] {
+    at(t, [this, pa, cls, dirty, unverified] {
         auto victim = llc_.insert(pa, cls, dirty);
         // The flag reflects the newest copy: set for unverified DRAM
-        // fills (inclusive mode), cleared when a verified/plaintext
-        // copy arrives (e.g. an L2 victim).
-        llc_.setFlag(pa, unverified);
+        // fills, cleared when a verified/plaintext copy arrives (e.g.
+        // an L2 victim). Only the inclusive hierarchy reads it, so the
+        // non-inclusive configs skip the extra set probe.
+        if (cfg_.inclusive_llc)
+            llc_.setFlag(pa, unverified);
         if (!victim)
             return;
         // Inclusive mode: evicting a data line from the LLC must also
@@ -1403,19 +1379,33 @@ SecureSystem::insertLlc(Addr pa, LineClass cls, bool dirty, Tick t,
             dramRequest(victim->addr, MemClass::Counter, true,
                         curTick() + cfg_.noc_llc_mc, nullptr);
         }
-    }, /*priority=*/0, EventTag::Cache);
+    });
 }
 
 void
 SecureSystem::insertMcCache(Addr addr, LineClass cls, bool dirty, Tick t)
 {
-    sim().post(std::max(t, curTick()), [this, addr, cls, dirty] {
+    at(t, [this, addr, cls, dirty] {
         auto victim = mc_cache_.insert(addr, cls, dirty);
         if (victim && victim->dirty) {
             dramRequest(victim->addr, MemClass::Counter, true, curTick(),
                         nullptr);
         }
-    }, /*priority=*/0, EventTag::Cache);
+    });
+}
+
+void
+SecureSystem::invalidateStaleCounter(Addr ctr)
+{
+    // Fig 23 counts the L2 invalidations.
+    if (cfg_.scheme == Scheme::Emcc) {
+        for (unsigned c = 0; c < cfg_.cores; ++c) {
+            if (l2_[c].invalidate(ctr))
+                noteL2CounterGone(c, ctr, /*invalidated=*/true);
+        }
+    }
+    if (cfg_.countersInLlc())
+        llc_.invalidate(ctr);
 }
 
 StatSet
@@ -1685,7 +1675,10 @@ SecureSystem::fastForward(Count refs_per_core)
     panic_if(cores_running_ != 0, "fastForward during a detailed phase");
     panic_if(fault_ != nullptr,
              "functional fast-forward cannot model fault campaigns");
-    const Tick now = curTick();
+    // Functional mode: the shared fill layer applies every fill at once
+    // and turns its DRAM writes into row touches. No event runs, so
+    // curTick() stands still throughout.
+    functional_ = true;
     // Round-robin interleave across cores, like concurrent execution
     // (same discipline as the functional characterizer).
     std::vector<std::size_t> pos(cfg_.cores);
@@ -1699,31 +1692,33 @@ SecureSystem::fastForward(Count refs_per_core)
                 p %= trace.size();
             const MemRef &ref = trace[p];
             pos[c] = p + 1;
-            ffwdHandleRef(c, translate(c, ref.vaddr), ref.is_write, now);
+            ffwdHandleRef(c, translate(c, ref.vaddr), ref.is_write);
         }
     }
     for (unsigned c = 0; c < cfg_.cores; ++c)
         cores_[c]->setTracePos(pos[c]);
+    functional_ = false;
 }
 
 void
-SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write,
-                            Tick now)
+SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write)
 {
     if (is_write)
         ++stats_.data_writes;
     else
         ++stats_.data_reads;
 
+    // Same outcome as read()/write(): store hits are not counted.
     if (l1_[core].access(pa, LineClass::Data, is_write)) {
-        ++stats_.l1_hits;
+        if (!is_write)
+            ++stats_.l1_hits;
         return;
     }
     if (cfg_.dynamic_emcc_off)
         sampleIntensity(core);
-    if (l2_[core].access(pa, LineClass::Data, false)) {
+    if (l2_[core].access(pa, LineClass::Data, is_write)) {
         ++stats_.l2_data_hits;
-        ffwdInsertL1(core, pa, is_write, now);
+        insertL1(core, pa, is_write);
         return;
     }
     ++stats_.l2_data_misses;
@@ -1731,6 +1726,7 @@ SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write,
     // ---- EMCC counter path: the speculative fetch resolves
     // instantly, so the counter is resident in L2 before the data
     // outcome is known — the same end state the timed path reaches.
+    const Tick now = curTick();
     const Addr ctr = meta_.counterBlockAddr(pa);
     const bool emcc_active =
         cfg_.scheme == Scheme::Emcc &&
@@ -1744,11 +1740,11 @@ SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write,
             ++stats_.emcc_l2_ctr_misses;
             ++stats_.emcc_ctr_accesses_to_llc;
             if (!llc_.access(ctr, LineClass::Counter, false)) {
-                ffwdMcCounterAccess(pa, /*count_buckets=*/true, now,
+                ffwdMcCounterAccess(pa, /*count_buckets=*/true,
                                     /*llc_known_miss=*/true);
-                ffwdInsertLlc(ctr, LineClass::Counter, false, now);
+                insertLlc(ctr, LineClass::Counter, false, now);
             }
-            ffwdInsertCounterIntoL2(core, ctr, now);
+            insertL2Counter(core, ctr, now);
             emcc_ctr_in_l2 = true;
         }
     }
@@ -1765,11 +1761,11 @@ SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write,
                 ++stats_.decrypted_at_l2;
             } else {
                 ++stats_.decrypted_at_mc;
-                ffwdMcCounterAccess(pa, /*count_buckets=*/false, now);
+                ffwdMcCounterAccess(pa, /*count_buckets=*/false);
             }
         }
-        ffwdInsertL2Data(core, pa, now);
-        ffwdInsertL1(core, pa, is_write, now);
+        insertL2Data(core, pa, /*dirty=*/false, now);
+        insertL1(core, pa, is_write);
         return;
     }
     ++stats_.llc_data_misses;
@@ -1785,27 +1781,28 @@ SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write,
         } else {
             // Dynamic EMCC-off phase: the MC fetches + verifies.
             ++stats_.decrypted_at_mc;
-            ffwdMcCounterAccess(pa, /*count_buckets=*/false, now);
+            ffwdMcCounterAccess(pa, /*count_buckets=*/false);
         }
     } else if (cfg_.scheme != Scheme::NonSecure) {
-        ffwdMcCounterAccess(pa, /*count_buckets=*/true, now);
+        ffwdMcCounterAccess(pa, /*count_buckets=*/true);
     }
 
     dram_.functionalTouch(pa, now);
     if (cfg_.inclusive_llc) {
         // The response allocates in the LLC on its way up, unverified
         // when the L2 does the crypto (mirrors joinTryFinish).
-        ffwdInsertLlc(pa, LineClass::Data, false, now,
-                      /*unverified=*/emcc_ctr_in_l2);
+        insertLlc(pa, LineClass::Data, false, now,
+                  /*unverified=*/emcc_ctr_in_l2);
     }
-    ffwdInsertL2Data(core, pa, now);
-    ffwdInsertL1(core, pa, is_write, now);
+    insertL2Data(core, pa, /*dirty=*/false, now);
+    insertL1(core, pa, is_write);
 }
 
 void
-SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets, Tick now,
+SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets,
                                   bool llc_known_miss)
 {
+    const Tick now = curTick();
     const Addr ctr = meta_.counterBlockAddr(pa);
     if (mc_cache_.access(ctr, LineClass::Counter, false)) {
         if (count_buckets)
@@ -1836,125 +1833,38 @@ SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets, Tick now,
                 break;
             if (cfg_.countersInLlc() &&
                 llc_.access(node, LineClass::TreeNode, false)) {
-                ffwdInsertMcCache(node, LineClass::TreeNode, now);
+                insertMcCache(node, LineClass::TreeNode, false, now);
                 break;
             }
             dram_.functionalTouch(node, now);
-            ffwdInsertMcCache(node, LineClass::TreeNode, now);
+            insertMcCache(node, LineClass::TreeNode, false, now);
             if (cfg_.countersInLlc())
-                ffwdInsertLlc(node, LineClass::TreeNode, false, now);
+                insertLlc(node, LineClass::TreeNode, false, now);
         }
         if (cfg_.countersInLlc())
-            ffwdInsertLlc(ctr, LineClass::Counter, false, now);
+            insertLlc(ctr, LineClass::Counter, false, now);
     }
-    ffwdInsertMcCache(ctr, LineClass::Counter, now);
+    insertMcCache(ctr, LineClass::Counter, false, now);
 }
 
 void
-SecureSystem::ffwdMcWriteback(Addr pa, Tick now)
+SecureSystem::ffwdMcWriteback(Addr pa)
 {
-    dram_.functionalTouch(pa, now);
+    dram_.functionalTouch(pa, curTick());
     if (cfg_.scheme == Scheme::NonSecure)
         return;
 
     // The MC needs the counter block resident (and dirty) to bump it.
     const Addr ctr = meta_.counterBlockAddr(pa);
     if (!mc_cache_.access(ctr, LineClass::Counter, true)) {
-        ffwdMcCounterAccess(pa, /*count_buckets=*/false, now);
+        ffwdMcCounterAccess(pa, /*count_buckets=*/false);
         mc_cache_.access(ctr, LineClass::Counter, true);   // mark dirty
     }
 
     const auto wr = design_->bumpCounter(pa);
     if (wr.overflow)
         ++stats_.overflows;
-
-    // Coherence: the updated counter invalidates stale cached copies.
-    if (cfg_.scheme == Scheme::Emcc) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            if (l2_[c].invalidate(ctr))
-                noteL2CounterGone(c, ctr, /*invalidated=*/true);
-        }
-    }
-    if (cfg_.countersInLlc())
-        llc_.invalidate(ctr);
-}
-
-void
-SecureSystem::ffwdHandleL2Victim(unsigned core, const Victim &v, Tick now)
-{
-    if (v.cls == LineClass::Counter) {
-        noteL2CounterGone(core, v.addr, /*invalidated=*/false);
-        return;
-    }
-    // Non-inclusive hierarchy: L2 evictions fill the LLC as victims.
-    ffwdInsertLlc(v.addr, v.cls, v.dirty, now);
-}
-
-void
-SecureSystem::ffwdInsertCounterIntoL2(unsigned core, Addr ctr, Tick now)
-{
-    if (l2_ctr_state_[core].emplace(ctr, false))
-        ++stats_.l2_ctr_inserts;
-    auto victim = l2_[core].insert(ctr, LineClass::Counter, false);
-    if (victim)
-        ffwdHandleL2Victim(core, *victim, now);
-}
-
-void
-SecureSystem::ffwdInsertL1(unsigned core, Addr pa, bool dirty, Tick now)
-{
-    auto victim = l1_[core].insert(pa, LineClass::Data, dirty);
-    if (victim && victim->dirty) {
-        auto v2 = l2_[core].insert(victim->addr, LineClass::Data, true);
-        if (v2)
-            ffwdHandleL2Victim(core, *v2, now);
-    }
-}
-
-void
-SecureSystem::ffwdInsertL2Data(unsigned core, Addr pa, Tick now)
-{
-    auto victim = l2_[core].insert(pa, LineClass::Data, false);
-    if (victim)
-        ffwdHandleL2Victim(core, *victim, now);
-}
-
-void
-SecureSystem::ffwdInsertLlc(Addr pa, LineClass cls, bool dirty, Tick now,
-                            bool unverified)
-{
-    auto victim = llc_.insert(pa, cls, dirty);
-    // The unverified flag only exists in the inclusive hierarchy; the
-    // non-inclusive configs never read it, so skip the extra set probe.
-    if (cfg_.inclusive_llc)
-        llc_.setFlag(pa, unverified);
-    if (!victim)
-        return;
-    if (cfg_.inclusive_llc && victim->cls == LineClass::Data) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            auto was_dirty = l2_[c].invalidate(victim->addr);
-            if (was_dirty) {
-                ++stats_.inclusive_back_invalidations;
-                if (*was_dirty)
-                    ffwdMcWriteback(victim->addr, now);
-            }
-            l1_[c].invalidate(victim->addr);
-        }
-    }
-    if (!victim->dirty)
-        return;
-    if (victim->cls == LineClass::Data)
-        ffwdMcWriteback(victim->addr, now);
-    else
-        dram_.functionalTouch(victim->addr, now);
-}
-
-void
-SecureSystem::ffwdInsertMcCache(Addr addr, LineClass cls, Tick now)
-{
-    auto victim = mc_cache_.insert(addr, cls, false);
-    if (victim && victim->dirty)
-        dram_.functionalTouch(victim->addr, now);
+    invalidateStaleCounter(ctr);
 }
 
 // ---------------------------------------------------- sampled simulation

@@ -16,6 +16,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -55,7 +56,8 @@ struct SystemStats
     // core-visible
     Count data_reads = 0;
     Count data_writes = 0;
-    Count l1_hits = 0;
+    Count l1_hits = 0;            ///< loads that hit in L1 (store hits
+                                  ///  are not counted)
     Count l2_data_hits = 0;
     Count l2_data_misses = 0;
     Count llc_data_hits = 0;
@@ -354,14 +356,35 @@ class SecureSystem : public Component, public MemorySystemPort
     /** Drain straggler events and populate results_.leaks. */
     void drainAndCheckLeaks();
 
+    // ---- fills: one layer for both clocks. In detailed mode each fill
+    // lands as an event at its tick; in functional mode (fastForward)
+    // it applies at once and its DRAM traffic only touches row state.
+
+    /** Run @p body at tick @p t: posted as a cache event in detailed
+     *  mode, called inline in functional mode. */
+    template <typename F>
+    void
+    at(Tick t, F &&body)
+    {
+        if (functional_) {
+            body();
+            return;
+        }
+        sim().post(std::max(t, curTick()), std::forward<F>(body),
+                   /*priority=*/0, EventTag::Cache);
+    }
+
     void insertL1(unsigned core, Addr pa, bool dirty);
     void insertL2Data(unsigned core, Addr pa, bool dirty, Tick t);
     void insertL2Counter(unsigned core, Addr ctr_addr, Tick t);
     void noteL2CounterGone(unsigned core, Addr ctr_addr, bool invalidated);
-    void handleL2Victim(unsigned core, const Victim &v, Tick t);
+    void handleL2Victim(unsigned core, const Victim &v);
     void insertLlc(Addr pa, LineClass cls, bool dirty, Tick t,
                    bool unverified = false);
     void insertMcCache(Addr addr, LineClass cls, bool dirty, Tick t);
+    /** A written-back block bumped the counter block @p ctr: drop the
+     *  stale copies cached above the MC. */
+    void invalidateStaleCounter(Addr ctr);
 
     // ---- pooled per-LLC-miss join/walk state (slab-recycled; the
     // closures on the hot path capture only [this, slot])
@@ -401,19 +424,12 @@ class SecureSystem : public Component, public MemorySystemPort
      *  slot when it was the last. */
     void walkArrive(std::uint32_t slot, Tick when);
 
-    // ---- functional fast-forward (architectural state only; mirrors
-    // the detailed path's cache/counter decisions without timing)
-    void ffwdHandleRef(unsigned core, Addr pa, bool is_write, Tick now);
-    void ffwdMcCounterAccess(Addr pa, bool count_buckets, Tick now,
+    // ---- functional fast-forward: per-reference decisions without
+    // timing; every fill goes through the shared fill layer above
+    void ffwdHandleRef(unsigned core, Addr pa, bool is_write);
+    void ffwdMcCounterAccess(Addr pa, bool count_buckets,
                              bool llc_known_miss = false);
-    void ffwdMcWriteback(Addr pa, Tick now);
-    void ffwdHandleL2Victim(unsigned core, const Victim &v, Tick now);
-    void ffwdInsertCounterIntoL2(unsigned core, Addr ctr, Tick now);
-    void ffwdInsertL1(unsigned core, Addr pa, bool dirty, Tick now);
-    void ffwdInsertL2Data(unsigned core, Addr pa, Tick now);
-    void ffwdInsertLlc(Addr pa, LineClass cls, bool dirty, Tick now,
-                       bool unverified = false);
-    void ffwdInsertMcCache(Addr addr, LineClass cls, Tick now);
+    void ffwdMcWriteback(Addr pa);
 
     // ---- sampled-simulation machinery
     /** Start every core for @p budget instructions and step events
@@ -509,6 +525,10 @@ class SecureSystem : public Component, public MemorySystemPort
     /// reused tree-walk node list (mcFetchCounter never re-enters
     /// synchronously, so one scratch buffer suffices)
     std::vector<std::pair<Addr, bool>> walk_scratch_;
+
+    /// true only inside fastForward(): fills apply at once and DRAM
+    /// traffic becomes functional row touches (see at(), dramRequest)
+    bool functional_ = false;
 
     SystemStats stats_;
     RunResults results_;

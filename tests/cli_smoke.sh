@@ -36,6 +36,14 @@
 #   sampled_golden     the seeded --sample stats dump matches the
 #                      checked-in golden and validates the sample.*
 #                      schema (regen: tools/regen_golden.sh)
+#   sampled_golden_baseline_inclusive
+#   sampled_golden_emcc_inclusive_dynoff
+#                      the same sampled run as sampled_golden under
+#                      --scheme baseline --inclusive and --scheme emcc
+#                      --inclusive --dynamic-off: fast-forward paths the
+#                      BFS-EMCC golden does not reach (inclusive
+#                      back-invalidation, the LLC counter insert, the
+#                      unverified LLC flag)
 #   checkpoint_identity
 #                      --checkpoint-roundtrip (save -> scramble ->
 #                      restore -> continue at every window boundary)
@@ -63,6 +71,31 @@ expect_exit() {
         echo "FAIL: exit $got, wanted $want: $*" >&2
         cat stderr.txt >&2
         return 1
+    fi
+}
+
+# sampled_golden <golden file> <scheme flags...>: the seeded --sample
+# run must match tests/golden/<golden file> byte for byte.
+sampled_golden() {
+    local golden="$SCRIPT_DIR/golden/$1"; shift
+    expect_exit 0 "$SIM" "${SMALL[@]}" "$@" --seed 42 \
+        --sample 4 --sample-ffwd-first 8000 --ffwd 2000 \
+        --sample-warm 1000 --sample-measure 3000 \
+        --stats-json stats.json || exit 1
+    if ! cmp stats.json "$golden"; then
+        echo "FAIL: sampled stats diverged from $golden" >&2
+        if command -v python3 > /dev/null; then
+            python3 "$SCRIPT_DIR/check_stats.py" stats.json \
+                --golden "$golden" >&2
+        fi
+        echo "If the change is intentional, regenerate with" >&2
+        echo "  tools/regen_golden.sh <path-to-emcc_sim>" >&2
+        exit 1
+    fi
+    # check_stats.py validates the sample.* schema: per-window values,
+    # non-negative sd, ordered CI half-widths, mean = window average.
+    if command -v python3 > /dev/null; then
+        python3 "$SCRIPT_DIR/check_stats.py" stats.json || exit 1
     fi
 }
 
@@ -288,26 +321,17 @@ print(f"bottleneck: {len(bound)} bound_by, {len(whatif)} what-ifs, "
 EOF
     ;;
   sampled_golden)
-    expect_exit 0 "$SIM" "${SMALL[@]}" --scheme emcc --seed 42 \
-        --sample 4 --sample-ffwd-first 8000 --ffwd 2000 \
-        --sample-warm 1000 --sample-measure 3000 \
-        --stats-json stats.json || exit 1
-    GOLDEN="$SCRIPT_DIR/golden/stats_bfs_emcc_sampled.json"
-    if ! cmp stats.json "$GOLDEN"; then
-        echo "FAIL: sampled stats diverged from $GOLDEN" >&2
-        if command -v python3 > /dev/null; then
-            python3 "$SCRIPT_DIR/check_stats.py" stats.json \
-                --golden "$GOLDEN" >&2
-        fi
-        echo "If the change is intentional, regenerate with" >&2
-        echo "  tools/regen_golden.sh <path-to-emcc_sim>" >&2
-        exit 1
-    fi
-    # check_stats.py validates the sample.* schema: per-window values,
-    # non-negative sd, ordered CI half-widths, mean = window average.
-    if command -v python3 > /dev/null; then
-        python3 "$SCRIPT_DIR/check_stats.py" stats.json || exit 1
-    fi
+    sampled_golden stats_bfs_emcc_sampled.json --scheme emcc
+    ;;
+  sampled_golden_baseline_inclusive)
+    sampled_golden stats_bfs_baseline_inclusive_sampled.json \
+        --scheme baseline --inclusive
+    ;;
+  sampled_golden_emcc_inclusive_dynoff)
+    # Dropping fast-forward's sampleIntensity() call would go unseen
+    # here: sys.dynamic_windows stays 0 at this scale.
+    sampled_golden stats_bfs_emcc_inclusive_dynoff_sampled.json \
+        --scheme emcc --inclusive --dynamic-off
     ;;
   checkpoint_identity)
     SAMPLED=(--sample 4 --sample-ffwd-first 8000 --ffwd 2000

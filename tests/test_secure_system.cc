@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "system/secure_system.hh"
 
@@ -235,6 +241,208 @@ TEST(SecureSystem, RunLeavesNothingInFlight)
     const auto r = runScheme(Scheme::Emcc);
     EXPECT_TRUE(r.leaks.clean()) << r.leaks.render();
 }
+
+
+// ------------------------------------ detailed vs functional fast-forward
+//
+// The detailed path (read()/write() plus events) and fastForward() share
+// one fill layer but make their per-reference decisions separately.
+// Driven one reference at a time — the event queue stepped empty after
+// each, so detailed mode has no overlapping misses, MSHR merges or
+// write-buffer reordering — both must reach the same architectural
+// state: every cache array's lines per set in LRU order, the counter
+// values and tree (the "design" checkpoint section), and every stats
+// counter both paths maintain.
+//
+// Sets are compared as LRU-ordered line lists, not way by way: detailed
+// mode inserts tree nodes in DRAM-arrival order, so the same lines can
+// occupy different ways (canneal does at its first reference). Their
+// recency order can differ for a while too (McOnly mcf and canneal at
+// their second reference), until later walks touch those nodes again;
+// at every compare point below it agrees for each covered config.
+//
+// Only NonSecure and McOnly are covered. Fast-forward resolves EMCC's
+// speculative counter fetch at once (its decrypted_at_mc is 0 by
+// construction) and invalidates a bumped counter immediately. Detailed
+// mode can instead leave a pre-bump counter block in the LLC: the tree
+// walk posts its LLC counter insert and then completes the counter
+// MSHR, so a waiting writeback bumps the counter and invalidates the
+// LLC copy before the posted insert lands. Under EMCC and LlcBaseline
+// the two paths' cache contents diverge within 4k-42k references on
+// DFS, omnetpp, mcf and canneal; extend the sweep to them once that
+// defect is fixed.
+
+constexpr Count kDiffRefs = 40'000;
+constexpr Count kDiffCompareEvery = 2'000;
+
+const WorkloadSet &
+diffWorkload(const std::string &name)
+{
+    static std::map<std::string, WorkloadSet> built;
+    auto it = built.find(name);
+    if (it == built.end()) {
+        WorkloadParams p = tinyParams();
+        p.cores = 1;
+        p.trace_len = kDiffRefs;
+        it = built.emplace(name, buildWorkload(name, p)).first;
+    }
+    return it->second;
+}
+
+/** One cache array's valid lines, set by set, each set LRU first:
+ *  "set: tag/class/dirty/flag ..." lines. */
+std::vector<std::string>
+cacheLines(const Checkpoint &ck, const std::string &section,
+           unsigned assoc)
+{
+    CheckpointReader r = ck.reader(section);
+    r.expectTag(0xcac4e001u);
+    std::vector<BlockNum> tag;
+    std::vector<std::uint8_t> valid, dirty, flag;
+    std::vector<LineClass> cls;
+    std::vector<std::uint64_t> last_use;
+    r.vec(tag);
+    r.vec(valid);
+    r.vec(dirty);
+    r.vec(flag);
+    r.vec(cls);
+    r.vec(last_use);
+    std::vector<std::string> sets;
+    for (std::size_t base = 0; base < valid.size(); base += assoc) {
+        std::vector<std::size_t> ways;
+        for (std::size_t i = base; i < base + assoc; ++i) {
+            if (valid[i])
+                ways.push_back(i);
+        }
+        std::sort(ways.begin(), ways.end(),
+                  [&](std::size_t a, std::size_t b) {
+            return last_use[a] < last_use[b];
+        });
+        std::ostringstream os;
+        os << base / assoc << ":";
+        for (const std::size_t i : ways) {
+            os << " " << std::hex << tag[i].value() << std::dec << "/"
+               << static_cast<int>(cls[i]) << "/"
+               << static_cast<int>(dirty[i]) << "/"
+               << static_cast<int>(flag[i]);
+        }
+        sets.push_back(os.str());
+    }
+    return sets;
+}
+
+/** The SystemStats counters both paths maintain. */
+std::vector<std::pair<const char *, Count>>
+sharedStats(const SystemStats &s)
+{
+    return {{"data_reads", s.data_reads},
+            {"data_writes", s.data_writes},
+            {"l1_hits", s.l1_hits},
+            {"l2_data_hits", s.l2_data_hits},
+            {"l2_data_misses", s.l2_data_misses},
+            {"llc_data_hits", s.llc_data_hits},
+            {"llc_data_misses", s.llc_data_misses},
+            {"mc_ctr_hits", s.mc_ctr_hits},
+            {"llc_ctr_hits", s.llc_ctr_hits},
+            {"llc_ctr_misses", s.llc_ctr_misses},
+            {"baseline_ctr_accesses_to_llc",
+             s.baseline_ctr_accesses_to_llc},
+            {"decrypted_at_l2", s.decrypted_at_l2},
+            {"decrypted_at_mc", s.decrypted_at_mc},
+            {"overflows", s.overflows},
+            {"llc_unverified_hits", s.llc_unverified_hits},
+            {"inclusive_back_invalidations",
+             s.inclusive_back_invalidations}};
+}
+
+/** First difference between the two systems' states, or "". */
+std::string
+stateDiff(const SecureSystem &det, const SecureSystem &ffwd)
+{
+    const SystemConfig &cfg = det.config();
+    const Checkpoint a = det.saveCheckpoint();
+    const Checkpoint b = ffwd.saveCheckpoint();
+    const std::pair<std::string, unsigned> arrays[] = {
+        {"l1.0", cfg.l1_assoc},
+        {"l2.0", cfg.l2_assoc},
+        {"llc", cfg.llc_assoc},
+        {"mc_ctr", cfg.mc_ctr_cache_assoc}};
+    for (const auto &[section, assoc] : arrays) {
+        const auto la = cacheLines(a, section, assoc);
+        const auto lb = cacheLines(b, section, assoc);
+        for (std::size_t i = 0; i < la.size(); ++i) {
+            if (la[i] != lb[i]) {
+                return section + " set " + la[i] + "\n  vs fast-forward " +
+                       lb[i];
+            }
+        }
+    }
+    if (a.sections.at("design") != b.sections.at("design"))
+        return "counter/tree state (design section) differs";
+    const auto sa = sharedStats(det.stats());
+    const auto sb = sharedStats(ffwd.stats());
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+        if (sa[i].second != sb[i].second) {
+            return std::string("stat ") + sa[i].first + ": " +
+                   std::to_string(sa[i].second) + " vs fast-forward " +
+                   std::to_string(sb[i].second);
+        }
+    }
+    return "";
+}
+
+using DiffCase = std::tuple<std::string, Scheme, bool>;
+
+class FastForwardDifferential : public ::testing::TestWithParam<DiffCase>
+{
+};
+
+TEST_P(FastForwardDifferential, SameStateAsDetailed)
+{
+    const auto &[name, scheme, inclusive] = GetParam();
+    const WorkloadSet &wl = diffWorkload(name);
+    SystemConfig cfg = tinyConfig(scheme);
+    cfg.cores = 1;
+    cfg.inclusive_llc = inclusive;
+
+    Simulator sim_det;
+    SecureSystem det(sim_det, cfg, &wl);
+    Simulator sim_ffwd;
+    SecureSystem ffwd(sim_ffwd, cfg, &wl);
+
+    const auto &trace = wl.per_core[0];
+    for (Count done = 0; done < kDiffRefs; done += kDiffCompareEvery) {
+        for (Count i = done; i < done + kDiffCompareEvery; ++i) {
+            const MemRef &ref = trace[i % trace.size()];
+            FinishCb cb = det.finishPool().make([](Tick) {});
+            if (ref.is_write)
+                det.write(0, ref.vaddr, cb);
+            else
+                det.read(0, ref.vaddr, cb);
+            while (sim_det.events().step()) {
+            }
+        }
+        ffwd.fastForward(kDiffCompareEvery);
+        const std::string diff = stateDiff(det, ffwd);
+        ASSERT_EQ(diff, "") << "after " << done + kDiffCompareEvery
+                            << " references";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SecureSystem, FastForwardDifferential,
+    ::testing::Combine(::testing::Values("BFS", "DFS", "omnetpp", "mcf",
+                                         "canneal"),
+                       ::testing::Values(Scheme::NonSecure,
+                                         Scheme::McOnly),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<DiffCase> &info) {
+        // (no structured binding: its commas would split the macro)
+        return std::get<0>(info.param) + "_" +
+               (std::get<1>(info.param) == Scheme::NonSecure ? "NonSecure"
+                                                            : "McOnly") +
+               (std::get<2>(info.param) ? "_inclusive" : "");
+    });
 
 } // namespace
 } // namespace emcc

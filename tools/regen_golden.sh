@@ -17,7 +17,6 @@ CAMPAIGN="${2:-$REPO/build/tools/emcc_campaign}"
 GOLDEN="$REPO/tests/golden/stats_bfs_emcc.json"
 NORESMON_GOLDEN="$REPO/tests/golden/stats_bfs_emcc_noresmon.json"
 SERIES_GOLDEN="$REPO/tests/golden/series_bfs_emcc.jsonl"
-SAMPLED_GOLDEN="$REPO/tests/golden/stats_bfs_emcc_sampled.json"
 
 if [ ! -x "$SIM" ]; then
     echo "regen_golden.sh: no emcc_sim at $SIM (build first?)" >&2
@@ -43,13 +42,20 @@ echo "wrote $NORESMON_GOLDEN"
     --stats-series "$SERIES_GOLDEN" > /dev/null
 echo "wrote $SERIES_GOLDEN"
 
-# Sampled-mode golden (cli.sampled_golden); flags must stay in
-# lockstep with the sampled_golden and checkpoint_identity cases.
-"$SIM" --workload BFS --warmup 5000 --measure 20000 --trace-len 40000 \
-    --scheme emcc --seed 42 --sample 4 --sample-ffwd-first 8000 \
-    --ffwd 2000 --sample-warm 1000 --sample-measure 3000 \
-    --stats-json "$SAMPLED_GOLDEN" > /dev/null
-echo "wrote $SAMPLED_GOLDEN"
+# Sampled-mode goldens (cli.sampled_golden*); flags must stay in
+# lockstep with the sampled_golden* and checkpoint_identity cases.
+sampled() {
+    local out="$REPO/tests/golden/$1"; shift
+    "$SIM" --workload BFS --warmup 5000 --measure 20000 --trace-len 40000 \
+        "$@" --seed 42 --sample 4 --sample-ffwd-first 8000 \
+        --ffwd 2000 --sample-warm 1000 --sample-measure 3000 \
+        --stats-json "$out" > /dev/null
+    echo "wrote $out"
+}
+sampled stats_bfs_emcc_sampled.json --scheme emcc
+sampled stats_bfs_baseline_inclusive_sampled.json --scheme baseline --inclusive
+sampled stats_bfs_emcc_inclusive_dynoff_sampled.json \
+    --scheme emcc --inclusive --dynamic-off
 
 if [ -x "$CAMPAIGN" ]; then
     AGG_GOLDEN="$REPO/tests/golden/campaign_aggregate.jsonl"
