@@ -100,6 +100,10 @@ CampaignEngine::prebuildWorkloads(const std::vector<const RunDesc *> &todo)
 {
     // Build every distinct trace set once, on this thread, before the
     // pool starts: workers then only ever hit the (immutable) cache.
+    // Deliberately serial: a graph build already uses every core
+    // (generation, CSR scatter and per-core traces run under
+    // parallelFor), and cachedWorkload() holds its mutex across a build,
+    // so fanning the builds out would only queue them on that lock.
     for (const RunDesc *r : todo) {
         if (r->kind == RunDesc::Kind::Sim)
             experiments::cachedWorkload(r->workload, r->scale.workload);

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -52,14 +53,15 @@ class CsrGraph
                   "RMAT thresholds must be exact 53-bit integers");
 
     /**
-     * Generate an RMAT graph.
+     * Generate an RMAT graph. Uses every core; the graph and the final
+     * state of @p rng do not depend on the thread count.
      * @param num_vertices  rounded up to a power of two
      * @param avg_degree    edges = vertices * avg_degree
      */
     CsrGraph(std::uint64_t num_vertices, unsigned avg_degree, Rng &rng);
 
     std::uint64_t numVertices() const { return n_; }
-    std::uint64_t numEdges() const { return edges_.size(); }
+    std::uint64_t numEdges() const { return offsets_.back(); }
 
     std::uint64_t
     degree(std::uint64_t v) const
@@ -104,7 +106,9 @@ class CsrGraph
   private:
     std::uint64_t n_;
     std::vector<std::uint64_t> offsets_;
-    std::vector<std::uint32_t> edges_;
+    /** Edge targets, grouped by source; allocated uninitialised so
+     *  the scatter threads first-touch their own writes. */
+    std::unique_ptr<std::uint32_t[]> edges_;
     Addr edges_base_;
     Addr props_base_;
 };

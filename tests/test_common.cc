@@ -1,14 +1,23 @@
 /**
  * @file
- * Unit tests for the common infrastructure: types/units, RNG,
- * histograms, statistics helpers, and the table printer.
+ * Unit tests for the common infrastructure: types/units, RNG (and its
+ * jump-ahead), the parallelFor helper, histograms, statistics helpers,
+ * and the table printer.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/histogram.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -105,6 +114,129 @@ TEST(Rng, RangeInclusive)
     }
     EXPECT_TRUE(saw_lo);
     EXPECT_TRUE(saw_hi);
+}
+
+TEST(Rng, AdvanceEqualsRepeatedNext)
+{
+    for (const std::uint64_t seed : {0ull, 1ull, 42ull, 0xdeadbeefull}) {
+        for (const std::uint64_t n :
+             {0ull, 1ull, 2ull, 63ull, 64ull, 65ull, 255ull, 256ull, 257ull,
+              1'000'003ull}) {
+            SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                              << " n=" << n);
+            Rng stepped(seed), jumped(seed);
+            for (std::uint64_t i = 0; i < n; ++i)
+                stepped.next();
+            jumped.advance(n);
+            ASSERT_EQ(jumped.state(), stepped.state());
+            EXPECT_EQ(jumped.next(), stepped.next());
+        }
+    }
+}
+
+TEST(Rng, AdvanceComposes)
+{
+    const std::uint64_t steps[] = {0, 1, 77, 4096, 352'321'536,
+                                   0xffff'ffff'ffffull};
+    for (const std::uint64_t a : steps) {
+        for (const std::uint64_t b : steps) {
+            Rng split(9), whole(9);
+            split.advance(a);
+            split.advance(b);
+            whole.advance(static_cast<unsigned __int128>(a) + b);
+            EXPECT_EQ(split.state(), whole.state()) << a << "+" << b;
+        }
+    }
+}
+
+/** The reference xoshiro256 jump(): equivalent to 2^128 calls to
+ *  next(), from the four constants its authors published. */
+void
+referenceJump(Rng &rng)
+{
+    static const std::uint64_t kJump[] = {
+        0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa,
+        0x39abdc4529b1661c};
+    std::array<std::uint64_t, 4> acc{};
+    for (const std::uint64_t word : kJump) {
+        for (int b = 0; b < 64; ++b) {
+            if ((word >> b) & 1) {
+                const auto s = rng.state();
+                for (std::size_t i = 0; i < 4; ++i)
+                    acc[i] ^= s[i];
+            }
+            rng.next();
+        }
+    }
+    rng.setState(acc);
+}
+
+TEST(Rng, AdvanceMatchesReferenceJump)
+{
+    for (const std::uint64_t seed : {3ull, 42ull, 1234567ull}) {
+        Rng reference(seed), jumped(seed);
+        referenceJump(reference);
+        // 2^128 = (2^128 - 1) + 1.
+        jumped.advance(~static_cast<unsigned __int128>(0));
+        jumped.next();
+        EXPECT_EQ(jumped.state(), reference.state()) << seed;
+    }
+}
+
+TEST(ParallelFor, RunsEveryIndexOnce)
+{
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+        std::vector<int> hits(100, 0);
+        parallelFor(hits.size(), threads,
+                    [&](std::size_t i) { ++hits[i]; });
+        EXPECT_EQ(hits, std::vector<int>(100, 1)) << threads;
+    }
+}
+
+TEST(ParallelFor, RethrowsLowestFailingIndexAfterJoiningAll)
+{
+    for (const unsigned threads : {1u, 3u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        constexpr std::size_t kTasks = 16;
+        std::vector<std::atomic<bool>> done(kTasks);
+        try {
+            parallelFor(kTasks, threads, [&](std::size_t i) {
+                if (i == 5 || i == 11)
+                    throw std::runtime_error("task " + std::to_string(i));
+                // Slow tasks: the throw must not abandon them.
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                done[i].store(true);
+            });
+            FAIL() << "no exception reached the caller";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "task 5");
+        }
+        // Serially, the first throw stops the loop; with threads, every
+        // task has finished (all threads were joined) before the throw.
+        for (std::size_t i = 0; i < kTasks; ++i) {
+            if (i == 5 || i == 11)
+                continue;
+            EXPECT_EQ(done[i].load(), threads == 1 ? i < 5 : true) << i;
+        }
+    }
+}
+
+TEST(ParallelFor, ThreadCountFollowsWorkAndSeam)
+{
+    EXPECT_EQ(parallelThreads(kParallelMinWork - 1), 1u);
+    EXPECT_GE(parallelThreads(kParallelMinWork), 1u);
+    EXPECT_EQ(parallelThreads(kParallelMinWork, 1), 1u);
+    {
+        ScopedThreadCount outer(3);
+        EXPECT_EQ(parallelThreads(0), 3u);
+        EXPECT_EQ(parallelThreads(kParallelMinWork, 2), 3u);
+        {
+            ScopedThreadCount inner(7);
+            EXPECT_EQ(parallelThreads(1), 7u);
+        }
+        EXPECT_EQ(parallelThreads(1), 3u);
+    }
+    EXPECT_EQ(parallelThreads(0), 1u);
 }
 
 TEST(Histogram, BinningAndMean)

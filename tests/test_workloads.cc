@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/error.hh"
+#include "common/parallel.hh"
 #include "workloads/graph.hh"
 #include "workloads/synthetic.hh"
 #include "workloads/workload.hh"
@@ -114,6 +117,20 @@ struct ReferenceRmat
     }
 };
 
+/** Copy out a graph's CSR arrays for whole-array comparison. */
+std::pair<std::vector<std::uint64_t>, std::vector<std::uint32_t>>
+csrArrays(const CsrGraph &g)
+{
+    std::vector<std::uint64_t> offsets(g.numVertices() + 1);
+    for (std::uint64_t v = 0; v < g.numVertices(); ++v)
+        offsets[v] = g.edgeBegin(v);
+    offsets.back() = g.edgeEnd(g.numVertices() - 1);
+    std::vector<std::uint32_t> edges(g.numEdges());
+    for (std::uint64_t e = 0; e < g.numEdges(); ++e)
+        edges[e] = g.edgeTarget(e);
+    return {offsets, edges};
+}
+
 TEST(Graph, MatchesDoubleCompareReference)
 {
     for (const std::uint64_t vertices : {1000ull, 1ull << 12}) {
@@ -125,19 +142,85 @@ TEST(Graph, MatchesDoubleCompareReference)
                 Rng rng(seed), ref_rng(seed);
                 const CsrGraph g(vertices, degree, rng);
                 const ReferenceRmat ref(vertices, degree, ref_rng);
-
-                ASSERT_EQ(g.numVertices() + 1, ref.offsets.size());
-                ASSERT_EQ(g.numEdges(), ref.edges.size());
-                std::vector<std::uint64_t> offsets(ref.offsets.size());
-                for (std::uint64_t v = 0; v < g.numVertices(); ++v)
-                    offsets[v] = g.edgeBegin(v);
-                offsets.back() = g.edgeEnd(g.numVertices() - 1);
+                const auto [offsets, edges] = csrArrays(g);
                 EXPECT_EQ(offsets, ref.offsets);
-                std::vector<std::uint32_t> edges(g.numEdges());
-                for (std::uint64_t e = 0; e < g.numEdges(); ++e)
-                    edges[e] = g.edgeTarget(e);
                 EXPECT_EQ(edges, ref.edges);
                 EXPECT_EQ(rng.state(), ref_rng.state());
+            }
+        }
+    }
+}
+
+TEST(Graph, ThreadCountInvariant)
+{
+    struct Shape
+    {
+        std::uint64_t vertices;
+        unsigned degree;
+        const char *why;
+    };
+    const Shape shapes[] = {
+        {1, 4, "one vertex: zero levels, every edge is 0->0"},
+        {2, 1, "fewer edges than threads"},
+        {1, 0, "no edges"},
+        {2, 64, "hub: vertex 0 holds ~76% of the edges"},
+        {1000, 8, "typical, rounded up to 1024"},
+        {1 << 12, 16, "typical"},
+    };
+    for (const Shape &shape : shapes) {
+        for (const std::uint64_t seed : {1ull, 42ull}) {
+            Rng ref_rng(seed);
+            const ReferenceRmat ref(shape.vertices, shape.degree, ref_rng);
+            for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << shape.why << ": vertices=" << shape.vertices
+                             << " degree=" << shape.degree
+                             << " seed=" << seed << " threads=" << threads);
+                const ScopedThreadCount pin(threads);
+                Rng rng(seed);
+                const CsrGraph g(shape.vertices, shape.degree, rng);
+                const auto [offsets, edges] = csrArrays(g);
+                EXPECT_EQ(offsets, ref.offsets);
+                EXPECT_EQ(edges, ref.edges);
+                EXPECT_EQ(rng.state(), ref_rng.state());
+            }
+        }
+    }
+}
+
+TEST(Graph, HubOutweighsAPartition)
+{
+    // The hub shape above must really exercise a source whose edges
+    // exceed a whole scatter partition's share (m / threads).
+    Rng rng(1);
+    const CsrGraph g(2, 64, rng);
+    EXPECT_GT(g.degree(0), g.numEdges() / 2);
+}
+
+TEST(Workloads, TracesIndependentOfThreadCount)
+{
+    const auto p = tinyParams();
+    for (const char *name : {"BFS", "mcf"}) {
+        std::vector<std::vector<MemRef>> serial;
+        {
+            const ScopedThreadCount pin(1);
+            serial = buildWorkload(name, p).per_core;
+        }
+        for (const unsigned threads : {2u, 3u, 4u, 7u}) {
+            const ScopedThreadCount pin(threads);
+            const auto w = buildWorkload(name, p);
+            ASSERT_EQ(w.per_core.size(), serial.size());
+            for (std::size_t c = 0; c < serial.size(); ++c) {
+                const auto &got = w.per_core[c], &want = serial[c];
+                ASSERT_EQ(got.size(), want.size());
+                const bool same = std::equal(
+                    got.begin(), got.end(), want.begin(),
+                    [](const MemRef &a, const MemRef &b) {
+                        return a.vaddr == b.vaddr && a.gap == b.gap &&
+                               a.is_write == b.is_write;
+                    });
+                EXPECT_TRUE(same) << name << " core " << c << " threads "
+                                  << threads;
             }
         }
     }
@@ -279,6 +362,10 @@ TEST(Workloads, AllRegisteredNamesBuild)
 
 TEST(Workloads, UnknownNameIsFatal)
 {
+    EXPECT_THROW(buildWorkload("notABenchmark", tinyParams()),
+                 FatalError);
+    // Also when the build would otherwise run on several threads.
+    const ScopedThreadCount pin(4);
     EXPECT_THROW(buildWorkload("notABenchmark", tinyParams()),
                  FatalError);
 }

@@ -31,6 +31,7 @@
 
 #include "common/error.hh"
 #include "common/table.hh"
+#include "obs/profile.hh"
 #include "system/experiment.hh"
 #include "workloads/trace_io.hh"
 
@@ -69,9 +70,11 @@ usage()
         "  --measure N        measured instructions/core (default 200000)\n"
         "  --trace-len N      trace references/core (default 400000)\n"
         "  --footprint-scale X\n"
-        "                     scale the workload's data footprint by X\n"
-        "                     (10 = ten times the paper's default; big\n"
-        "                     scales pair well with --sample)\n"
+        "                     scale the data footprint of synthetic\n"
+        "                     (non-graph) workloads only by X (10 = ten\n"
+        "                     times the paper's default; big scales pair\n"
+        "                     well with --sample); graph workloads are\n"
+        "                     sized by their vertex count\n"
         "\n"
         "sampled simulation (SMARTS-style):\n"
         "  --ffwd N           functionally fast-forward N memory refs\n"
@@ -356,6 +359,8 @@ runMain(int argc, char **argv)
                     cfg.fault_strict ? ", strict" : "");
     }
 
+    // Host time to build (or load) the traces, for the profiling block.
+    const obs::HostTimer build_timer;
     WorkloadSet loaded;
     if (!load_trace.empty()) {
         loaded = loadWorkload(load_trace);
@@ -366,6 +371,7 @@ runMain(int argc, char **argv)
     }
     const WorkloadSet &set = !load_trace.empty()
         ? loaded : cachedWorkload(workload, scale.workload);
+    const double build_seconds = build_timer.seconds();
 
     if (!save_trace.empty()) {
         if (!saveWorkload(set, save_trace))
@@ -532,6 +538,8 @@ runMain(int argc, char **argv)
         };
         const double sim_s = r.duration_ns * 1e-9;
         std::puts("\n=== profiling ===");
+        std::printf("workload %s: %.3f s host\n",
+                    load_trace.empty() ? "build" : "load", build_seconds);
         std::printf("host wall time: %.3f s (%.3g host-s per sim-s)\n",
                     r.host_seconds,
                     sim_s > 0.0 ? r.host_seconds / sim_s : 0.0);
