@@ -26,14 +26,14 @@ main()
             cfg.l2_ctr_cap_bytes = cap;
             const auto r = runFunctional(cfg, workload);
             const double hit = safeRatio(
-                static_cast<double>(r.l2_ctr_hits),
-                static_cast<double>(r.l2_data_misses));
+                static_cast<double>(r.sys.emcc_l2_ctr_hits),
+                static_cast<double>(r.sys.l2_data_misses));
             const double useless = safeRatio(
-                static_cast<double>(r.useless_ctr_accesses),
-                static_cast<double>(r.l2_data_misses));
+                static_cast<double>(r.sys.useless_ctr_accesses),
+                static_cast<double>(r.sys.l2_data_misses));
             const double to_llc = safeRatio(
-                static_cast<double>(r.emcc_ctr_accesses_to_llc),
-                static_cast<double>(r.l2_data_misses));
+                static_cast<double>(r.sys.emcc_ctr_accesses_to_llc),
+                static_cast<double>(r.sys.l2_data_misses));
             t.addRow({name, std::to_string(cap >> 10) + "KB",
                       Table::pct(hit), Table::pct(useless),
                       Table::pct(to_llc)});

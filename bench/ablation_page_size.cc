@@ -28,8 +28,8 @@ main()
             cfg.page_bytes = page;
             const auto r = runFunctional(cfg, workload);
             const double miss = safeRatio(
-                static_cast<double>(r.llc_ctr_misses),
-                static_cast<double>(r.data_reads_at_mc));
+                static_cast<double>(r.sys.llc_ctr_misses),
+                static_cast<double>(r.sys.llc_data_misses));
             (page == 2_MiB ? huge_v : small_v).push_back(miss);
             row.push_back(Table::pct(miss));
         }

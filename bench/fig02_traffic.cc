@@ -28,14 +28,19 @@ main()
         const auto wo = run(Scheme::McOnly);
         const auto w = run(Scheme::LlcBaseline);
 
-        auto rows = [&](const CharacterizerResults &r) {
-            const double normal = static_cast<double>(
-                r.dram_data_reads + r.dram_data_writes);
+        // Overhead is every non-data class: counters, tree nodes and
+        // overflow re-encryption.
+        auto rows = [&](const RunResults &r) {
+            constexpr int kData = static_cast<int>(MemClass::Data);
+            const Count data_reads = r.dram.reads[kData];
+            const Count data_writes = r.dram.writes[kData];
+            const double normal =
+                static_cast<double>(data_reads + data_writes);
             const double reads = safeRatio(
-                static_cast<double>(r.dram_ctr_reads + r.dram_ovf_reads),
+                static_cast<double>(r.dram.readsAll() - data_reads),
                 normal);
             const double writes = safeRatio(
-                static_cast<double>(r.dram_ctr_writes + r.dram_ovf_writes),
+                static_cast<double>(r.dram.writesAll() - data_writes),
                 normal);
             return std::pair{reads, writes};
         };

@@ -22,10 +22,13 @@ main()
         const auto r = runFunctional(
             pintoolConfig(Scheme::LlcBaseline, /*llc_mb_per_core=*/12),
             workload);
-        const double n = static_cast<double>(r.data_reads_at_mc);
-        const double f_mc = safeRatio(static_cast<double>(r.mc_ctr_hits), n);
-        const double f_llc = safeRatio(static_cast<double>(r.llc_ctr_hits), n);
-        const double f_miss = safeRatio(static_cast<double>(r.llc_ctr_misses), n);
+        const double n = static_cast<double>(r.sys.llc_data_misses);
+        const double f_mc =
+            safeRatio(static_cast<double>(r.sys.mc_ctr_hits), n);
+        const double f_llc =
+            safeRatio(static_cast<double>(r.sys.llc_ctr_hits), n);
+        const double f_miss =
+            safeRatio(static_cast<double>(r.sys.llc_ctr_misses), n);
         mc.push_back(f_mc);
         llc.push_back(f_llc);
         miss.push_back(f_miss);

@@ -24,11 +24,11 @@ main()
         const auto emcc = runFunctional(pintoolConfig(Scheme::Emcc),
                                         workload);
         const double f_base = safeRatio(
-            static_cast<double>(base.baseline_ctr_accesses_to_llc),
-            static_cast<double>(base.l2_data_misses));
+            static_cast<double>(base.sys.baseline_ctr_accesses_to_llc),
+            static_cast<double>(base.sys.l2_data_misses));
         const double f_emcc = safeRatio(
-            static_cast<double>(emcc.emcc_ctr_accesses_to_llc),
-            static_cast<double>(emcc.l2_data_misses));
+            static_cast<double>(emcc.sys.emcc_ctr_accesses_to_llc),
+            static_cast<double>(emcc.sys.l2_data_misses));
         base_vals.push_back(f_base);
         emcc_vals.push_back(f_emcc);
         t.addRow({name, Table::pct(f_base), Table::pct(f_emcc)});

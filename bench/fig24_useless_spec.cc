@@ -22,8 +22,8 @@ main()
         const auto r = runFunctional(pintoolConfig(Scheme::Emcc),
                                      workload);
         const double f = safeRatio(
-            static_cast<double>(r.useless_ctr_accesses),
-            static_cast<double>(r.l2_data_misses));
+            static_cast<double>(r.sys.useless_ctr_accesses),
+            static_cast<double>(r.sys.l2_data_misses));
         vals.push_back(f);
         t.addRow({name, Table::pct(f)});
     }

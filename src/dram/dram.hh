@@ -203,20 +203,31 @@ class DramChannel : public Component
                          const std::string &prefix) const;
 
     /**
-     * Architectural row-state update for functional fast-forward: open
-     * the accessed row in its bank with no timing, queueing, or stats.
-     * Keeps row-buffer locality warm so the first accesses of a
-     * detailed measurement window see realistic hit/conflict mixes.
+     * One access in functional fast-forward: count it in the same
+     * per-class reads[]/writes[] a timed access bumps, and open its row
+     * with no timing, queueing or other stats. Keeps row-buffer
+     * locality warm so the first accesses of a detailed measurement
+     * window see realistic hit/conflict mixes.
      */
     void
-    functionalTouch(Addr addr, Tick now)
+    functionalTouch(Addr addr, Tick now, MemClass cls, bool is_write)
     {
+        functionalCount(cls, is_write, 1);
         const DramCoord c = mapper_.map(addr);
         BankState &bk = bank(c);
         bk.row_open = true;
         bk.open_row = c.row;
         bk.last_use = now;
         bk.consecutive_hits = 0;
+    }
+
+    /** Count @p n functional accesses of class @p cls without touching
+     *  any row. */
+    void
+    functionalCount(MemClass cls, bool is_write, Count n)
+    {
+        (is_write ? stats_.writes : stats_.reads)[static_cast<int>(cls)] +=
+            n;
     }
 
     /** Serialize bank/bus state (sampled-simulation checkpoints). Only
@@ -382,12 +393,21 @@ class DramMemory : public Component
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /** Route a functional fast-forward row touch to its channel. */
+    /** Route a functional fast-forward access to its channel. */
     void
-    functionalTouch(Addr addr, Tick now)
+    functionalTouch(Addr addr, Tick now, MemClass cls, bool is_write)
     {
         const DramCoord c = mapper_.map(addr);
-        channels_.at(c.channel)->functionalTouch(addr, now);
+        channels_.at(c.channel)->functionalTouch(addr, now, cls, is_write);
+    }
+
+    /** Count @p n functional accesses on @p addr's channel without
+     *  touching any row. */
+    void
+    functionalCount(Addr addr, MemClass cls, bool is_write, Count n)
+    {
+        const DramCoord c = mapper_.map(addr);
+        channels_.at(c.channel)->functionalCount(cls, is_write, n);
     }
 
     /** Serialize every channel's bank/bus state, in channel order. */

@@ -98,15 +98,17 @@ paperConfig(Scheme scheme)
     return cfg;
 }
 
-CharacterizerConfig
+SystemConfig
 pintoolConfig(Scheme scheme, std::uint64_t llc_mb_per_core)
 {
-    CharacterizerConfig cfg;
+    SystemConfig cfg;
     cfg.cores = 4;
     cfg.l2_bytes = 1_MiB;
-    cfg.llc_bytes_per_core = llc_mb_per_core * 1_MiB;
+    cfg.llc_bytes = llc_mb_per_core * 1_MiB * cfg.cores;
     cfg.mc_ctr_cache_bytes = 128_KiB;   // 32 KB/core shared
     cfg.l2_ctr_cap_bytes = 32_KiB;
+    cfg.data_region_bytes = 8_GiB;
+    cfg.seed = 1;
     cfg.scheme = scheme;
     return cfg;
 }
@@ -149,12 +151,24 @@ runTiming(const SystemConfig &cfg, const WorkloadSet &workload,
     return results;
 }
 
-CharacterizerResults
-runFunctional(const CharacterizerConfig &cfg, const WorkloadSet &workload)
+RunResults
+runFunctional(const SystemConfig &cfg, const WorkloadSet &workload)
 {
-    Characterizer c(cfg);
-    c.run(workload);
-    return c.results();
+    // Every builder fills each core's trace to the same length, so one
+    // fast-forward of that length replays every trace exactly once.
+    const std::size_t len = workload.per_core.at(0).size();
+    for (const auto &trace : workload.per_core) {
+        fatal_if(trace.size() != len,
+                 "runFunctional needs equal-length traces (%zu vs %zu)",
+                 trace.size(), len);
+    }
+    Simulator sim;
+    SecureSystem sys(sim, cfg, &workload);
+    sys.fastForward(len);
+    RunResults results;
+    results.sys = sys.stats();
+    results.dram = sys.dram().aggregateStats();
+    return results;
 }
 
 double

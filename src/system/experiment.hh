@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "system/characterizer.hh"
 #include "system/config.hh"
 #include "system/secure_system.hh"
 #include "workloads/workload.hh"
@@ -42,11 +41,11 @@ const WorkloadSet &cachedWorkload(const std::string &name,
 /** The paper's Table-I configuration for a given scheme. */
 SystemConfig paperConfig(Scheme scheme);
 
-/** The paper's Pintool configuration (Figs 2/6/7/11/12): L2 1 MB per
- *  thread, LLC @p llc_mb_per_core MB per core, 32 KB/core counter
- *  cache. */
-CharacterizerConfig pintoolConfig(Scheme scheme,
-                                  std::uint64_t llc_mb_per_core = 2);
+/** The paper's Pintool configuration (Figs 2/6/7/11/12/24): L2 1 MB
+ *  per thread, LLC @p llc_mb_per_core MB per core, 32 KB/core counter
+ *  cache, an 8 GiB protected data region. */
+SystemConfig pintoolConfig(Scheme scheme,
+                           std::uint64_t llc_mb_per_core = 2);
 
 /** Run the timing system once and return its results. */
 RunResults runTiming(const SystemConfig &cfg, const WorkloadSet &workload,
@@ -103,9 +102,12 @@ struct RunOptions
 RunResults runTiming(const SystemConfig &cfg, const WorkloadSet &workload,
                      const BenchScale &scale, const RunOptions &opts);
 
-/** Run the functional characterizer once. */
-CharacterizerResults runFunctional(const CharacterizerConfig &cfg,
-                                   const WorkloadSet &workload);
+/** The Pintool-mode run: fast-forward every core once through its
+ *  whole trace on the functional clock of the timing system. Fills
+ *  results.sys and results.dram (per-class DRAM traffic); the timing
+ *  fields stay zero. */
+RunResults runFunctional(const SystemConfig &cfg,
+                         const WorkloadSet &workload);
 
 /** Mean of a vector (0 when empty) — for the papers' `mean` columns. */
 double mean(const std::vector<double> &v);

@@ -1096,7 +1096,7 @@ SecureSystem::dramRequest(Addr addr, MemClass cls, bool is_write, Tick t,
         // Fast-forward walks its reads inline; only the write traffic
         // of the shared fill layer arrives here, as a row touch now.
         panic_if(!is_write, "functional DRAM read");
-        dram_.functionalTouch(addr, curTick());
+        dram_.functionalTouch(addr, curTick(), cls, is_write);
         return;
     }
     // done is a 16-byte pooled handle (the closure itself stays put in
@@ -1679,8 +1679,7 @@ SecureSystem::fastForward(Count refs_per_core)
     // and turns its DRAM writes into row touches. No event runs, so
     // curTick() stands still throughout.
     functional_ = true;
-    // Round-robin interleave across cores, like concurrent execution
-    // (same discipline as the functional characterizer).
+    // Round-robin interleave across cores, like concurrent execution.
     std::vector<std::size_t> pos(cfg_.cores);
     for (unsigned c = 0; c < cfg_.cores; ++c)
         pos[c] = cores_[c]->tracePos();
@@ -1787,7 +1786,7 @@ SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write)
         ffwdMcCounterAccess(pa, /*count_buckets=*/true);
     }
 
-    dram_.functionalTouch(pa, now);
+    dram_.functionalTouch(pa, now, MemClass::Data, /*is_write=*/false);
     if (cfg_.inclusive_llc) {
         // The response allocates in the LLC on its way up, unverified
         // when the L2 does the crypto (mirrors joinTryFinish).
@@ -1826,7 +1825,7 @@ SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets,
             ++stats_.baseline_ctr_accesses_to_llc;
         // Fetch from DRAM and verify via the tree: walk up until a
         // cached (already verified) ancestor, as mcFetchCounter does.
-        dram_.functionalTouch(ctr, now);
+        dram_.functionalTouch(ctr, now, MemClass::Counter, false);
         for (unsigned lvl = 1; lvl < meta_.numLevels(); ++lvl) {
             const Addr node = meta_.treeNodeAddr(lvl, pa);
             if (mc_cache_.access(node, LineClass::TreeNode, false))
@@ -1836,7 +1835,7 @@ SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets,
                 insertMcCache(node, LineClass::TreeNode, false, now);
                 break;
             }
-            dram_.functionalTouch(node, now);
+            dram_.functionalTouch(node, now, MemClass::Counter, false);
             insertMcCache(node, LineClass::TreeNode, false, now);
             if (cfg_.countersInLlc())
                 insertLlc(node, LineClass::TreeNode, false, now);
@@ -1850,7 +1849,7 @@ SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets,
 void
 SecureSystem::ffwdMcWriteback(Addr pa)
 {
-    dram_.functionalTouch(pa, curTick());
+    dram_.functionalTouch(pa, curTick(), MemClass::Data, /*is_write=*/true);
     if (cfg_.scheme == Scheme::NonSecure)
         return;
 
@@ -1862,8 +1861,18 @@ SecureSystem::ffwdMcWriteback(Addr pa)
     }
 
     const auto wr = design_->bumpCounter(pa);
-    if (wr.overflow)
+    if (wr.overflow) {
+        // The re-encryption traffic is counted, but its row effects
+        // are not modelled: touching rows here would move every
+        // sampled run's detailed windows.
         ++stats_.overflows;
+        const std::uint64_t coverage = design_->coverageBytes();
+        const Addr base{(pa / coverage) * coverage};
+        dram_.functionalCount(base, MemClass::OverflowL0, false,
+                              wr.reencrypt_blocks);
+        dram_.functionalCount(base, MemClass::OverflowL0, true,
+                              wr.reencrypt_blocks);
+    }
     invalidateStaleCounter(ctr);
 }
 
@@ -2195,7 +2204,7 @@ SecureSystem::scrambleForRoundtrip()
     rng_.setState({0xdeadbeefull, 0xfeedfaceull, 0x12345678ull, 0x1ull});
     design_->bumpCounter(Addr{0});
     mapper_.translate(Addr{1ull << 39});   // mutates table + mapper RNG
-    dram_.functionalTouch(Addr{0}, curTick());
+    dram_.functionalTouch(Addr{0}, curTick(), MemClass::Data, false);
     stats_ = SystemStats{};
     for (auto &st : intensity_)
         st = IntensityState{};

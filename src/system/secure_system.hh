@@ -204,10 +204,11 @@ class SecureSystem : public Component, public MemorySystemPort
      * Functionally fast-forward @p refs_per_core memory references per
      * core, round-robin across cores: the full architectural path
      * (L1/L2/LLC lookups, EMCC counter placement, counter values,
-     * integrity-tree and MC-cache state, DRAM row state) advances by
-     * direct calls with no events, NoC hops or AES timing. Trace
-     * cursors move so a later detailed phase resumes where the
-     * fast-forward left off. Must not race a running detailed phase.
+     * integrity-tree and MC-cache state, DRAM row state and per-class
+     * DRAM traffic counts) advances by direct calls with no events,
+     * NoC hops or AES timing. Trace cursors move so a later detailed
+     * phase resumes where the fast-forward left off. Must not race a
+     * running detailed phase.
      */
     void fastForward(Count refs_per_core);
 
@@ -245,6 +246,8 @@ class SecureSystem : public Component, public MemorySystemPort
     const RunResults &results() const { return results_; }
     const SystemStats &stats() const { return stats_; }
     const SystemConfig &config() const { return cfg_; }
+    /** The memory device (per-channel state and live statistics). */
+    const DramMemory &dram() const { return dram_; }
 
     /** The fault injector, if a campaign is configured (else null). */
     const FaultInjector *faultInjector() const { return fault_.get(); }
@@ -358,7 +361,8 @@ class SecureSystem : public Component, public MemorySystemPort
 
     // ---- fills: one layer for both clocks. In detailed mode each fill
     // lands as an event at its tick; in functional mode (fastForward)
-    // it applies at once and its DRAM traffic only touches row state.
+    // it applies at once and its DRAM traffic only touches row state
+    // and the per-class DRAM counts.
 
     /** Run @p body at tick @p t: posted as a cache event in detailed
      *  mode, called inline in functional mode. */

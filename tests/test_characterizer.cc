@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the functional (Pintool-mode) characterizer: traffic
- * accounting, counter hit/miss buckets, EMCC useless-counter tracking,
- * and the cross-scheme relationships the paper's Figs 2/6/11/12 rest
- * on.
+ * Tests for the Pintool-mode characterization runs (runFunctional: one
+ * functional fast-forward of the timing system through every trace):
+ * traffic accounting, counter hit/miss buckets, EMCC useless-counter
+ * tracking, and the cross-scheme relationships the paper's Figs
+ * 2/6/11/12 rest on.
  */
 
 #include <gtest/gtest.h>
 
-#include "system/characterizer.hh"
+#include "system/experiment.hh"
 
 namespace emcc {
 namespace {
+
+using experiments::runFunctional;
 
 WorkloadParams
 tinyParams()
@@ -25,13 +28,14 @@ tinyParams()
     return p;
 }
 
-CharacterizerConfig
+SystemConfig
 tinyConfig(Scheme scheme)
 {
-    CharacterizerConfig cfg;
+    SystemConfig cfg;
     cfg.cores = 2;
+    cfg.l1_bytes = 16_KiB;
     cfg.l2_bytes = 64_KiB;
-    cfg.llc_bytes_per_core = 128_KiB;
+    cfg.llc_bytes = 256_KiB;
     cfg.mc_ctr_cache_bytes = 8_KiB;
     cfg.l2_ctr_cap_bytes = 4_KiB;
     cfg.scheme = scheme;
@@ -46,62 +50,75 @@ bfsWorkload()
     return w;
 }
 
+Count
+dramReads(const RunResults &r, MemClass cls)
+{
+    return r.dram.reads[static_cast<int>(cls)];
+}
+
+Count
+dramWrites(const RunResults &r, MemClass cls)
+{
+    return r.dram.writes[static_cast<int>(cls)];
+}
+
 TEST(Characterizer, BasicConservation)
 {
-    Characterizer c(tinyConfig(Scheme::LlcBaseline));
-    c.run(bfsWorkload());
-    const auto &r = c.results();
-    EXPECT_EQ(r.data_refs, bfsWorkload().totalRefs());
-    EXPECT_GE(r.l2_data_misses, r.data_reads_at_mc);
-    EXPECT_EQ(r.dram_data_reads, r.data_reads_at_mc);
+    const auto r = runFunctional(tinyConfig(Scheme::LlcBaseline),
+                                 bfsWorkload());
+    EXPECT_EQ(r.sys.data_reads + r.sys.data_writes,
+              bfsWorkload().totalRefs());
+    EXPECT_GE(r.sys.l2_data_misses, r.sys.llc_data_misses);
+    EXPECT_EQ(dramReads(r, MemClass::Data), r.sys.llc_data_misses);
     // Every read reaching the MC lands in exactly one counter bucket.
-    EXPECT_EQ(r.mc_ctr_hits + r.llc_ctr_hits + r.llc_ctr_misses,
-              r.data_reads_at_mc);
+    EXPECT_EQ(r.sys.mc_ctr_hits + r.sys.llc_ctr_hits +
+                  r.sys.llc_ctr_misses,
+              r.sys.llc_data_misses);
 }
 
 TEST(Characterizer, NonSecureHasNoMetadataTraffic)
 {
-    Characterizer c(tinyConfig(Scheme::NonSecure));
-    c.run(bfsWorkload());
-    const auto &r = c.results();
-    EXPECT_EQ(r.dram_ctr_reads, 0u);
-    EXPECT_EQ(r.dram_ctr_writes, 0u);
-    EXPECT_EQ(r.mc_ctr_hits + r.llc_ctr_hits + r.llc_ctr_misses, 0u);
+    const auto r = runFunctional(tinyConfig(Scheme::NonSecure),
+                                 bfsWorkload());
+    EXPECT_EQ(dramReads(r, MemClass::Counter), 0u);
+    EXPECT_EQ(dramWrites(r, MemClass::Counter), 0u);
+    EXPECT_EQ(r.sys.mc_ctr_hits + r.sys.llc_ctr_hits +
+                  r.sys.llc_ctr_misses,
+              0u);
 }
 
 TEST(Characterizer, CachingCountersInLlcReducesDramCounterTraffic)
 {
     // The Fig-2 headline: LLC counter caching cuts DRAM traffic
     // overhead substantially.
-    Characterizer without(tinyConfig(Scheme::McOnly));
-    without.run(bfsWorkload());
-    Characterizer with(tinyConfig(Scheme::LlcBaseline));
-    with.run(bfsWorkload());
-    EXPECT_LT(with.results().dram_ctr_reads,
-              without.results().dram_ctr_reads);
+    const auto without = runFunctional(tinyConfig(Scheme::McOnly),
+                                       bfsWorkload());
+    const auto with = runFunctional(tinyConfig(Scheme::LlcBaseline),
+                                    bfsWorkload());
+    EXPECT_LT(dramReads(with, MemClass::Counter),
+              dramReads(without, MemClass::Counter));
 }
 
 TEST(Characterizer, McOnlyNeverHitsLlcCounters)
 {
-    Characterizer c(tinyConfig(Scheme::McOnly));
-    c.run(bfsWorkload());
-    EXPECT_EQ(c.results().llc_ctr_hits, 0u);
-    EXPECT_EQ(c.results().baseline_ctr_accesses_to_llc, 0u);
+    const auto r = runFunctional(tinyConfig(Scheme::McOnly),
+                                 bfsWorkload());
+    EXPECT_EQ(r.sys.llc_ctr_hits, 0u);
+    EXPECT_EQ(r.sys.baseline_ctr_accesses_to_llc, 0u);
 }
 
 TEST(Characterizer, EmccTracksL2CounterActivity)
 {
-    Characterizer c(tinyConfig(Scheme::Emcc));
-    c.run(bfsWorkload());
-    const auto &r = c.results();
-    EXPECT_GT(r.l2_ctr_inserts, 0u);
-    EXPECT_GT(r.emcc_ctr_accesses_to_llc, 0u);
+    const auto r = runFunctional(tinyConfig(Scheme::Emcc), bfsWorkload());
+    EXPECT_GT(r.sys.l2_ctr_inserts, 0u);
+    EXPECT_GT(r.sys.emcc_ctr_accesses_to_llc, 0u);
     // Per paper definition, every L2 data miss triggers exactly one L2
     // counter lookup (hit or miss).
-    EXPECT_EQ(r.l2_ctr_hits + r.l2_ctr_misses, r.l2_data_misses);
-    EXPECT_EQ(r.emcc_ctr_accesses_to_llc, r.l2_ctr_misses);
+    EXPECT_EQ(r.sys.emcc_l2_ctr_hits + r.sys.emcc_l2_ctr_misses,
+              r.sys.l2_data_misses);
+    EXPECT_EQ(r.sys.emcc_ctr_accesses_to_llc, r.sys.emcc_l2_ctr_misses);
     // Useless accesses are a subset of inserts.
-    EXPECT_LE(r.useless_ctr_accesses, r.l2_ctr_inserts);
+    EXPECT_LE(r.sys.useless_ctr_accesses, r.sys.l2_ctr_inserts);
 }
 
 TEST(Characterizer, EmccUselessFractionIsSmall)
@@ -109,12 +126,11 @@ TEST(Characterizer, EmccUselessFractionIsSmall)
     // The Fig-11 claim: caching counters in L2 filters almost all
     // useless counter fetches (paper: 3.2% of L2 data misses for the
     // irregular set).
-    Characterizer c(tinyConfig(Scheme::Emcc));
-    c.run(bfsWorkload());
-    const auto &r = c.results();
-    ASSERT_GT(r.l2_data_misses, 0u);
-    const double useless = static_cast<double>(r.useless_ctr_accesses) /
-                           static_cast<double>(r.l2_data_misses);
+    const auto r = runFunctional(tinyConfig(Scheme::Emcc), bfsWorkload());
+    ASSERT_GT(r.sys.l2_data_misses, 0u);
+    const double useless =
+        static_cast<double>(r.sys.useless_ctr_accesses) /
+        static_cast<double>(r.sys.l2_data_misses);
     EXPECT_LT(useless, 0.25);
 }
 
@@ -124,16 +140,16 @@ TEST(Characterizer, EmccL2FiltersLlcCounterAccesses)
     // the baseline design would *conceptually* make; EMCC's counter
     // accesses to LLC stay within a modest factor of the baseline's
     // (Fig 12: 35.6% vs 31.4% of L2 data misses).
-    Characterizer emcc(tinyConfig(Scheme::Emcc));
-    emcc.run(bfsWorkload());
-    Characterizer base(tinyConfig(Scheme::LlcBaseline));
-    base.run(bfsWorkload());
+    const auto emcc = runFunctional(tinyConfig(Scheme::Emcc),
+                                    bfsWorkload());
+    const auto base = runFunctional(tinyConfig(Scheme::LlcBaseline),
+                                    bfsWorkload());
     const double emcc_rate =
-        static_cast<double>(emcc.results().emcc_ctr_accesses_to_llc) /
-        static_cast<double>(emcc.results().l2_data_misses);
+        static_cast<double>(emcc.sys.emcc_ctr_accesses_to_llc) /
+        static_cast<double>(emcc.sys.l2_data_misses);
     const double base_rate =
-        static_cast<double>(base.results().baseline_ctr_accesses_to_llc) /
-        static_cast<double>(base.results().l2_data_misses);
+        static_cast<double>(base.sys.baseline_ctr_accesses_to_llc) /
+        static_cast<double>(base.sys.l2_data_misses);
     EXPECT_GT(emcc_rate, 0.0);
     EXPECT_GT(base_rate, 0.0);
     EXPECT_LT(emcc_rate, base_rate + 0.5);
@@ -141,29 +157,26 @@ TEST(Characterizer, EmccL2FiltersLlcCounterAccesses)
 
 TEST(Characterizer, WritebacksGenerateCounterUpdatesAndInvalidations)
 {
-    Characterizer c(tinyConfig(Scheme::Emcc));
-    c.run(bfsWorkload());
-    const auto &r = c.results();
-    EXPECT_GT(r.dram_data_writes, 0u);
+    const auto r = runFunctional(tinyConfig(Scheme::Emcc), bfsWorkload());
+    EXPECT_GT(dramWrites(r, MemClass::Data), 0u);
     // Counter invalidations in L2 occur but are rare (Fig 23: 1.7% of
     // inserts on average).
-    EXPECT_LE(r.l2_ctr_invalidations, r.l2_ctr_inserts);
+    EXPECT_LE(r.sys.l2_ctr_invalidations, r.sys.l2_ctr_inserts);
 }
 
 TEST(Characterizer, BiggerLlcImprovesCounterHitRate)
 {
-    auto small = tinyConfig(Scheme::LlcBaseline);
+    const auto small = tinyConfig(Scheme::LlcBaseline);
     auto big = tinyConfig(Scheme::LlcBaseline);
-    big.llc_bytes_per_core = 1_MiB;
-    Characterizer cs(small), cb(big);
-    cs.run(bfsWorkload());
-    cb.run(bfsWorkload());
+    big.llc_bytes = 2_MiB;   // 1 MiB per core
+    const auto rs = runFunctional(small, bfsWorkload());
+    const auto rb = runFunctional(big, bfsWorkload());
     const double small_miss =
-        static_cast<double>(cs.results().llc_ctr_misses) /
-        static_cast<double>(cs.results().data_reads_at_mc);
+        static_cast<double>(rs.sys.llc_ctr_misses) /
+        static_cast<double>(rs.sys.llc_data_misses);
     const double big_miss =
-        static_cast<double>(cb.results().llc_ctr_misses) /
-        static_cast<double>(cb.results().data_reads_at_mc);
+        static_cast<double>(rb.sys.llc_ctr_misses) /
+        static_cast<double>(rb.sys.llc_data_misses);
     // Counter misses shrink (or stay flat within noise) with a bigger
     // LLC; the paper's Fig-7 point is that the improvement is small.
     EXPECT_LE(big_miss, small_miss * 1.2 + 0.005);
@@ -171,28 +184,23 @@ TEST(Characterizer, BiggerLlcImprovesCounterHitRate)
 
 TEST(Characterizer, SmallFootprintWorkloadMostlyHitsCaches)
 {
-    auto p = tinyParams();
-    const auto w = buildWorkload("exchange2_s", p);
-    auto cfg = tinyConfig(Scheme::Emcc);
-    Characterizer c(cfg);
-    c.run(w);
-    const auto &r = c.results();
+    const auto w = buildWorkload("exchange2_s", tinyParams());
+    const auto r = runFunctional(tinyConfig(Scheme::Emcc), w);
     // 1 MiB scaled footprint in 64 KiB L2 + 256 KiB LLC: most refs hit.
-    EXPECT_LT(r.data_reads_at_mc, r.data_refs / 4);
+    EXPECT_LT(r.sys.llc_data_misses,
+              (r.sys.data_reads + r.sys.data_writes) / 4);
 }
 
 TEST(Characterizer, MorphableCoversMoreThanSc64)
 {
-    auto morph_cfg = tinyConfig(Scheme::LlcBaseline);
+    const auto morph_cfg = tinyConfig(Scheme::LlcBaseline);
     auto sc_cfg = tinyConfig(Scheme::LlcBaseline);
     sc_cfg.design = CounterDesignKind::Sc64;
-    Characterizer morph(morph_cfg), sc(sc_cfg);
-    morph.run(bfsWorkload());
-    sc.run(bfsWorkload());
+    const auto morph = runFunctional(morph_cfg, bfsWorkload());
+    const auto sc = runFunctional(sc_cfg, bfsWorkload());
     // Morphable's 8 KiB coverage -> fewer counter misses than SC-64's
     // 4 KiB for the same workload.
-    EXPECT_LE(morph.results().llc_ctr_misses,
-              sc.results().llc_ctr_misses);
+    EXPECT_LE(morph.sys.llc_ctr_misses, sc.sys.llc_ctr_misses);
 }
 
 } // namespace

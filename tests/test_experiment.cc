@@ -2,7 +2,8 @@
  * @file
  * Tests for the experiment runner helpers: canonical configurations,
  * scale resolution, workload caching, and a cross-workload
- * characterizer property sweep over the paper's full irregular set.
+ * Pintool-mode (runFunctional) property sweep over the paper's full
+ * irregular set.
  */
 
 #include <gtest/gtest.h>
@@ -44,10 +45,11 @@ TEST(Experiment, AesBandwidthSplit)
 TEST(Experiment, PintoolConfigPerCoreLlc)
 {
     const auto c2 = pintoolConfig(Scheme::LlcBaseline, 2);
-    EXPECT_EQ(c2.llc_bytes_per_core, 2_MiB);
+    EXPECT_EQ(c2.llc_bytes / c2.cores, 2_MiB);
     const auto c12 = pintoolConfig(Scheme::LlcBaseline, 12);
-    EXPECT_EQ(c12.llc_bytes_per_core, 12_MiB);
+    EXPECT_EQ(c12.llc_bytes / c12.cores, 12_MiB);
     EXPECT_EQ(c2.mc_ctr_cache_bytes, 128_KiB);
+    EXPECT_EQ(c2.data_region_bytes, 8_GiB);
 }
 
 TEST(Experiment, ScaleEnvKnobs)
@@ -88,8 +90,8 @@ TEST(Experiment, MeanHelper)
 }
 
 /**
- * Property sweep: every irregular workload through the EMCC
- * characterizer must satisfy the structural invariants the figures
+ * Property sweep: every irregular workload through an EMCC
+ * Pintool-mode run must satisfy the structural invariants the figures
  * rely on.
  */
 class IrregularSweep : public ::testing::TestWithParam<std::string>
@@ -105,24 +107,26 @@ TEST_P(IrregularSweep, EmccInvariantsHold)
     p.footprint_scale = 1.0 / 32.0;
     const auto w = buildWorkload(GetParam(), p);
 
-    CharacterizerConfig cfg;
+    SystemConfig cfg;
     cfg.cores = 2;
+    cfg.l1_bytes = 16_KiB;
     cfg.l2_bytes = 64_KiB;
-    cfg.llc_bytes_per_core = 128_KiB;
+    cfg.llc_bytes = 256_KiB;
     cfg.mc_ctr_cache_bytes = 8_KiB;
     cfg.l2_ctr_cap_bytes = 4_KiB;
+    cfg.data_region_bytes = 8_GiB;
     cfg.scheme = Scheme::Emcc;
-    Characterizer c(cfg);
-    c.run(w);
-    const auto &r = c.results();
+    const auto res = runFunctional(cfg, w);
+    const SystemStats &r = res.sys;
 
-    EXPECT_EQ(r.data_refs, w.totalRefs());
-    EXPECT_EQ(r.l2_ctr_hits + r.l2_ctr_misses, r.l2_data_misses);
-    EXPECT_EQ(r.emcc_ctr_accesses_to_llc, r.l2_ctr_misses);
+    EXPECT_EQ(r.data_reads + r.data_writes, w.totalRefs());
+    EXPECT_EQ(r.emcc_l2_ctr_hits + r.emcc_l2_ctr_misses, r.l2_data_misses);
+    EXPECT_EQ(r.emcc_ctr_accesses_to_llc, r.emcc_l2_ctr_misses);
     EXPECT_LE(r.useless_ctr_accesses, r.l2_ctr_inserts);
     EXPECT_LE(r.l2_ctr_invalidations, r.l2_ctr_inserts);
-    EXPECT_LE(r.data_reads_at_mc, r.l2_data_misses);
-    EXPECT_EQ(r.dram_data_reads, r.data_reads_at_mc);
+    EXPECT_LE(r.llc_data_misses, r.l2_data_misses);
+    EXPECT_EQ(res.dram.reads[static_cast<int>(MemClass::Data)],
+              r.llc_data_misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIrregular, IrregularSweep,
@@ -143,15 +147,16 @@ TEST_P(RegularSweep, BuildsAndReplays)
     ASSERT_EQ(w.per_core.size(), 1u);
     EXPECT_EQ(w.per_core[0].size(), p.trace_len);
 
-    CharacterizerConfig cfg;
+    SystemConfig cfg;
     cfg.cores = 1;
+    cfg.l1_bytes = 16_KiB;
     cfg.l2_bytes = 64_KiB;
-    cfg.llc_bytes_per_core = 256_KiB;
+    cfg.llc_bytes = 256_KiB;
     cfg.mc_ctr_cache_bytes = 8_KiB;
+    cfg.data_region_bytes = 8_GiB;
     cfg.scheme = Scheme::Emcc;
-    Characterizer c(cfg);
-    c.run(w);
-    EXPECT_EQ(c.results().data_refs, p.trace_len);
+    const auto r = runFunctional(cfg, w);
+    EXPECT_EQ(r.sys.data_reads + r.sys.data_writes, p.trace_len);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegular, RegularSweep,
