@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -87,6 +88,22 @@ struct MissRecord
         if (e <= b)
             return;
         add(s, ticksToNs(e - b));
+    }
+
+    /**
+     * Record the crypto lane [@p begin, @p end) and stamp its AES work
+     * ending at @p aes_done: the pad from @p aes_start, then the last
+     * @p aes_latency as the MAC verify.
+     */
+    void
+    stampCrypto(Tick begin, Tick aes_start, Tick aes_done, Tick end,
+                Tick aes_latency)
+    {
+        crypto_begin = begin;
+        crypto_end = end;
+        const Tick mac_b = std::max(aes_start, aes_done - aes_latency);
+        stamp(MissSegment::Aes, aes_start, mac_b);
+        stamp(MissSegment::MacVerify, mac_b, aes_done);
     }
 
     void

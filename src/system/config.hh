@@ -128,12 +128,22 @@ struct SystemConfig
     Scheme scheme = Scheme::Emcc;
     std::uint64_t seed = 1;
 
+    // Placement predicates: the only code that maps a Scheme to where
+    // counters are cached and where data is decrypted (DESIGN.md §4).
+
+    /** True unless NonSecure: data is encrypted and verified. */
+    bool secure() const { return scheme != Scheme::NonSecure; }
+
     /** True if this scheme caches counters in the LLC. */
     bool
     countersInLlc() const
     {
         return scheme == Scheme::LlcBaseline || scheme == Scheme::Emcc;
     }
+
+    /** True if counters are also cached in the L2s, which then decrypt
+     *  with their own AES units (EMCC). */
+    bool countersInL2() const { return scheme == Scheme::Emcc; }
 
     /** AES throughput provisioned per L2 (ops/sec). */
     double
@@ -146,7 +156,7 @@ struct SystemConfig
     double
     mcAesRate() const
     {
-        const double f = (scheme == Scheme::Emcc) ? l2_aes_fraction : 0.0;
+        const double f = countersInL2() ? l2_aes_fraction : 0.0;
         return total_aes_ops_per_sec * (1.0 - f);
     }
 

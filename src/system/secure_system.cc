@@ -35,6 +35,42 @@ validated(const SystemConfig &cfg)
     return cfg;
 }
 
+/** Every SystemStats counter, exported as "sys.<name>" by the metrics
+ *  registry and as "<name>" by the CSV row (RunResults::toStatSet). */
+constexpr std::pair<const char *, Count SystemStats::*> kSysCounters[] = {
+    {"data_reads", &SystemStats::data_reads},
+    {"data_writes", &SystemStats::data_writes},
+    {"l1_hits", &SystemStats::l1_hits},
+    {"l2_data_hits", &SystemStats::l2_data_hits},
+    {"l2_data_misses", &SystemStats::l2_data_misses},
+    {"llc_data_hits", &SystemStats::llc_data_hits},
+    {"llc_data_misses", &SystemStats::llc_data_misses},
+    {"mc_ctr_hits", &SystemStats::mc_ctr_hits},
+    {"llc_ctr_hits", &SystemStats::llc_ctr_hits},
+    {"llc_ctr_misses", &SystemStats::llc_ctr_misses},
+    {"emcc_l2_ctr_hits", &SystemStats::emcc_l2_ctr_hits},
+    {"emcc_l2_ctr_misses", &SystemStats::emcc_l2_ctr_misses},
+    {"emcc_ctr_accesses_to_llc", &SystemStats::emcc_ctr_accesses_to_llc},
+    {"baseline_ctr_accesses_to_llc",
+     &SystemStats::baseline_ctr_accesses_to_llc},
+    {"useless_ctr_accesses", &SystemStats::useless_ctr_accesses},
+    {"l2_ctr_inserts", &SystemStats::l2_ctr_inserts},
+    {"l2_ctr_invalidations", &SystemStats::l2_ctr_invalidations},
+    {"decrypted_at_l2", &SystemStats::decrypted_at_l2},
+    {"decrypted_at_mc", &SystemStats::decrypted_at_mc},
+    {"adaptive_offloads", &SystemStats::adaptive_offloads},
+    {"overflows", &SystemStats::overflows},
+    {"llc_unverified_hits", &SystemStats::llc_unverified_hits},
+    {"inclusive_back_invalidations",
+     &SystemStats::inclusive_back_invalidations},
+    {"dynamic_off_windows", &SystemStats::dynamic_off_windows},
+    {"dynamic_windows", &SystemStats::dynamic_windows},
+    {"integrity_detected", &SystemStats::integrity_detected},
+    {"integrity_retried", &SystemStats::integrity_retried},
+    {"integrity_recovered", &SystemStats::integrity_recovered},
+    {"integrity_fatal", &SystemStats::integrity_fatal},
+};
+
 } // namespace
 
 SecureSystem::SecureSystem(Simulator &sim, const SystemConfig &cfg,
@@ -69,7 +105,7 @@ SecureSystem::SecureSystem(Simulator &sim, const SystemConfig &cfg,
         l1_.emplace_back("l1." + std::to_string(c),
                          arrayCfg(cfg.l1_bytes, cfg.l1_assoc));
         CacheArrayConfig l2c = arrayCfg(cfg.l2_bytes, cfg.l2_assoc);
-        if (cfg_.scheme == Scheme::Emcc) {
+        if (cfg_.countersInL2()) {
             l2c.class_cap_bytes[static_cast<int>(LineClass::Counter)] =
                 cfg_.l2_ctr_cap_bytes;
         }
@@ -202,43 +238,8 @@ SecureSystem::setupTracing(Simulator &sim)
 void
 SecureSystem::registerAllMetrics()
 {
-    auto &s = stats_;
-    metrics_.addCounter("sys.data_reads", &s.data_reads);
-    metrics_.addCounter("sys.data_writes", &s.data_writes);
-    metrics_.addCounter("sys.l1_hits", &s.l1_hits);
-    metrics_.addCounter("sys.l2_data_hits", &s.l2_data_hits);
-    metrics_.addCounter("sys.l2_data_misses", &s.l2_data_misses);
-    metrics_.addCounter("sys.llc_data_hits", &s.llc_data_hits);
-    metrics_.addCounter("sys.llc_data_misses", &s.llc_data_misses);
-    metrics_.addCounter("sys.mc_ctr_hits", &s.mc_ctr_hits);
-    metrics_.addCounter("sys.llc_ctr_hits", &s.llc_ctr_hits);
-    metrics_.addCounter("sys.llc_ctr_misses", &s.llc_ctr_misses);
-    metrics_.addCounter("sys.emcc_l2_ctr_hits", &s.emcc_l2_ctr_hits);
-    metrics_.addCounter("sys.emcc_l2_ctr_misses", &s.emcc_l2_ctr_misses);
-    metrics_.addCounter("sys.emcc_ctr_accesses_to_llc",
-                        &s.emcc_ctr_accesses_to_llc);
-    metrics_.addCounter("sys.baseline_ctr_accesses_to_llc",
-                        &s.baseline_ctr_accesses_to_llc);
-    metrics_.addCounter("sys.useless_ctr_accesses",
-                        &s.useless_ctr_accesses);
-    metrics_.addCounter("sys.l2_ctr_inserts", &s.l2_ctr_inserts);
-    metrics_.addCounter("sys.l2_ctr_invalidations",
-                        &s.l2_ctr_invalidations);
-    metrics_.addCounter("sys.decrypted_at_l2", &s.decrypted_at_l2);
-    metrics_.addCounter("sys.decrypted_at_mc", &s.decrypted_at_mc);
-    metrics_.addCounter("sys.adaptive_offloads", &s.adaptive_offloads);
-    metrics_.addCounter("sys.overflows", &s.overflows);
-    metrics_.addCounter("sys.llc_unverified_hits",
-                        &s.llc_unverified_hits);
-    metrics_.addCounter("sys.inclusive_back_invalidations",
-                        &s.inclusive_back_invalidations);
-    metrics_.addCounter("sys.dynamic_off_windows", &s.dynamic_off_windows);
-    metrics_.addCounter("sys.dynamic_windows", &s.dynamic_windows);
-    metrics_.addCounter("sys.integrity_detected", &s.integrity_detected);
-    metrics_.addCounter("sys.integrity_retried", &s.integrity_retried);
-    metrics_.addCounter("sys.integrity_recovered",
-                        &s.integrity_recovered);
-    metrics_.addCounter("sys.integrity_fatal", &s.integrity_fatal);
+    for (const auto &[name, member] : kSysCounters)
+        metrics_.addCounter(std::string("sys.") + name, &(stats_.*member));
     metrics_.addFormula("sys.l2_miss_latency_avg_ns", [this] {
         return safeRatio(stats_.l2_miss_latency_sum_ns,
                          static_cast<double>(
@@ -436,7 +437,7 @@ SecureSystem::l2Access(unsigned core, Addr pa, bool is_store, Tick t,
         rec->stamp(obs::MissSegment::L2Lookup, t, t_l2);
 
     CtrPath ctr;
-    if (cfg_.scheme == Scheme::Emcc)
+    if (cfg_.countersInL2())
         ctr = emccCounterPath(core, pa, t_miss, rec);
 
     llcDataAccess(core, pa, t_miss, ctr, rec,
@@ -585,28 +586,18 @@ SecureSystem::llcDataAccess(unsigned core, Addr pa, Tick t_miss,
             // unverified; the L2 decrypts and verifies it on arrival.
             ++stats_.llc_unverified_hits;
             llc_.setFlag(pa, false);   // the L2 copy will be verified
-            if (cfg_.scheme == Scheme::Emcc && !ctr.mc_decrypts &&
-                ctr.ctr_ready_at_l2 != kTickInvalid) {
+            if (ctr.atL2()) {
                 ++stats_.decrypted_at_l2;
-                const Tick slot = l2_aes_[core]->submit(t_miss, 5);
-                const Tick done = std::max(
-                    {fill, slot, ctr.ctr_ready_at_l2 + cfg_.aes_latency});
+                const Tick aes_done = std::max(
+                    l2_aes_[core]->submit(t_miss, 5),
+                    ctr.ctr_ready_at_l2 + cfg_.aes_latency);
+                const Tick done = std::max(fill, aes_done);
                 if (rec) {
                     // Crypto lane: counter decode + AES at the L2,
                     // hidden up to the data's own LLC-hit arrival.
-                    rec->crypto_begin = ctr.ctr_start != kTickInvalid
-                                            ? ctr.ctr_start
-                                            : t_miss;
-                    rec->crypto_end = std::max(
-                        slot, ctr.ctr_ready_at_l2 + cfg_.aes_latency);
+                    rec->stampCrypto(ctr.ctr_start, ctr.ctr_ready_at_l2,
+                                     aes_done, aes_done, cfg_.aes_latency);
                     rec->hide_until = fill;
-                    const Tick mac_b = std::max(
-                        ctr.ctr_ready_at_l2,
-                        rec->crypto_end - cfg_.aes_latency);
-                    rec->stamp(obs::MissSegment::Aes,
-                               ctr.ctr_ready_at_l2, mac_b);
-                    rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                               rec->crypto_end);
                 }
                 sim().post(done, [fill_cb, done] { fill_cb(done); });
             } else {
@@ -628,17 +619,12 @@ SecureSystem::llcDataAccess(unsigned core, Addr pa, Tick t_miss,
                         // data already sits at the L2 at `fill`, so any
                         // crypto time past it — including the MC-to-L2
                         // response trip — is exposed.
-                        rec->crypto_begin = t_mc;
-                        rec->crypto_end = aes_done + cfg_.resp_mc_to_l2;
-                        rec->hide_until = fill;
                         rec->stamp(obs::MissSegment::CtrFetch, t_mc,
                                    ctr_tick);
-                        const Tick mac_b = std::max(
-                            aes_start, aes_done - cfg_.aes_latency);
-                        rec->stamp(obs::MissSegment::Aes, aes_start,
-                                   mac_b);
-                        rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                                   aes_done);
+                        rec->stampCrypto(t_mc, aes_start, aes_done,
+                                         aes_done + cfg_.resp_mc_to_l2,
+                                         cfg_.aes_latency);
+                        rec->hide_until = fill;
                     }
                     sim().post(done,
                                    [fill_cb, done] { fill_cb(done); });
@@ -658,7 +644,7 @@ SecureSystem::llcDataAccess(unsigned core, Addr pa, Tick t_miss,
         ++intensity_[core].dram_fills;
 
     CtrPath ctr_final = ctr;
-    if (cfg_.scheme == Scheme::Emcc && !ctr.mc_decrypts) {
+    if (ctr.atL2()) {
         // The counter in L2 is genuinely used for this LLC miss.
         const Addr ctr_addr = meta_.counterBlockAddr(pa);
         if (bool *used = l2_ctr_state_[core].find(ctr_addr))
@@ -783,43 +769,11 @@ SecureSystem::mcDataRead(unsigned core, Addr pa, Tick t_mc,
         allocJoin(std::move(fill_at_l2_cb), core, pa, resp_delta, rec);
     JoinState &join = join_pool_.at(slot);
 
-    // ---- crypto path: MC-only and the LLC baseline always decrypt at
-    // the MC; EMCC does when its counter path says so.
-    const bool emcc = cfg_.scheme == Scheme::Emcc;
-    if (cfg_.scheme == Scheme::NonSecure) {
-        join.crypto_needed = false;
-    } else if (!emcc || ctr.mc_decrypts) {
-        // EMCC merges with the counter fetch already in flight (or a
-        // hit); its counter buckets were counted at the L2.
-        if (emcc)
-            ++stats_.decrypted_at_mc;
-        mcFetchCounter(pa, t_mc, /*count_buckets=*/!emcc,
-                       fin([this, slot, rec, t_mc](Tick ctr_tick) {
-            JoinState &j = join_pool_.at(slot);
-            const Tick start = ctr_tick + design_->decodeLatency() +
-                               aesStall();
-            j.crypto_done = mc_aes_.submit(start, 5);
-            if (trace_crypto_) {
-                tracer_->span(obs::TraceCat::Crypto, mc_aes_track_,
-                              "aes_decrypt", start, j.crypto_done);
-            }
-            if (rec) {
-                rec->crypto_begin = t_mc;
-                rec->crypto_end = j.crypto_done;
-                rec->stamp(obs::MissSegment::CtrFetch, t_mc, ctr_tick);
-                const Tick mac_b = std::max(
-                    start, j.crypto_done - cfg_.aes_latency);
-                rec->stamp(obs::MissSegment::Aes, start, mac_b);
-                rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                           j.crypto_done);
-            }
-            joinTryFinish(slot);
-        }));
-    } else {
+    // ---- crypto path: at the L2 when the counter path put the counter
+    // there (EMCC), else at the MC for every secure scheme.
+    if (ctr.atL2()) {
         ++stats_.decrypted_at_l2;
         join.crypto_at_l2 = true;
-        panic_if(ctr.ctr_ready_at_l2 == kTickInvalid,
-                 "EMCC L2 crypto without a counter");
         // The pool's *throughput* is consumed in submission order; the
         // *start* of this block's AES is additionally gated on the
         // decoded counter and (optionally) the LLC-hit-latency waste
@@ -835,16 +789,34 @@ SecureSystem::mcDataRead(unsigned core, Addr pa, Tick t_mc,
                           "aes_decrypt", t_miss, join.crypto_done);
         }
         if (rec) {
-            rec->crypto_begin = ctr.ctr_start != kTickInvalid
-                                    ? ctr.ctr_start
-                                    : t_miss;
-            rec->crypto_end = join.crypto_done;
-            const Tick mac_b = std::max(
-                gate, join.crypto_done - cfg_.aes_latency);
-            rec->stamp(obs::MissSegment::Aes, gate, mac_b);
-            rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                       join.crypto_done);
+            rec->stampCrypto(ctr.ctr_start, gate, join.crypto_done,
+                             join.crypto_done, cfg_.aes_latency);
         }
+    } else if (!cfg_.secure()) {
+        join.crypto_needed = false;
+    } else {
+        // EMCC merges with the counter fetch already in flight (or a
+        // hit); its counter buckets were counted at the L2.
+        const bool l2_ctrs = cfg_.countersInL2();
+        if (l2_ctrs)
+            ++stats_.decrypted_at_mc;
+        mcFetchCounter(pa, t_mc, /*count_buckets=*/!l2_ctrs,
+                       fin([this, slot, rec, t_mc](Tick ctr_tick) {
+            JoinState &j = join_pool_.at(slot);
+            const Tick start = ctr_tick + design_->decodeLatency() +
+                               aesStall();
+            j.crypto_done = mc_aes_.submit(start, 5);
+            if (trace_crypto_) {
+                tracer_->span(obs::TraceCat::Crypto, mc_aes_track_,
+                              "aes_decrypt", start, j.crypto_done);
+            }
+            if (rec) {
+                rec->stamp(obs::MissSegment::CtrFetch, t_mc, ctr_tick);
+                rec->stampCrypto(t_mc, start, j.crypto_done,
+                                 j.crypto_done, cfg_.aes_latency);
+            }
+            joinTryFinish(slot);
+        }));
     }
 
     // ---- data path (always asynchronous: dramRequest posts an event,
@@ -880,14 +852,15 @@ SecureSystem::mcFetchCounter(Addr pa, Tick t, bool count_buckets,
     }
     const Tick t1 = t + cfg_.mc_ctr_cache_latency;
 
+    // The LLC baseline's serial MC-side counter accesses (Fig 12).
+    if (cfg_.countersInLlc() && !cfg_.countersInL2())
+        ++stats_.baseline_ctr_accesses_to_llc;
     if (cfg_.countersInLlc() &&
         llc_.access(ctr, LineClass::Counter, false)) {
         if (count_buckets)
             ++stats_.llc_ctr_hits;
         if (fault_)
             fault_->onCounterHit(ctr, curTick());
-        if (cfg_.scheme == Scheme::LlcBaseline)
-            ++stats_.baseline_ctr_accesses_to_llc;
         const Tick ready = addDelta(t1 + cfg_.llc_ctr_access,
                                     nocDeltaTicks());
         insertMcCache(ctr, LineClass::Counter, false, ready);
@@ -897,8 +870,6 @@ SecureSystem::mcFetchCounter(Addr pa, Tick t, bool count_buckets,
 
     if (count_buckets)
         ++stats_.llc_ctr_misses;
-    if (cfg_.scheme == Scheme::LlcBaseline && cfg_.countersInLlc())
-        ++stats_.baseline_ctr_accesses_to_llc;
 
     // Miss determination round-trips the LLC for schemes that cache
     // counters there; MC-only goes straight to DRAM.
@@ -1006,7 +977,7 @@ SecureSystem::mcHandleWriteback(Addr pa, Tick t)
         ffwdMcWriteback(pa);
         return;
     }
-    if (cfg_.scheme == Scheme::NonSecure) {
+    if (!cfg_.secure()) {
         // No metadata, no encryption: the writeback goes straight out.
         dramRequest(pa, MemClass::Data, /*is_write=*/true, t, nullptr);
         return;
@@ -1191,17 +1162,11 @@ SecureSystem::recoverFill(unsigned core, Addr pa, Tick t,
     // flip a genuine multi-level re-verification.
     const std::vector<Addr> nodes = treeNodesFor(pa);
     mc_cache_.invalidate(ctr);
-    llc_.invalidate(ctr);
+    invalidateStaleCounter(ctr);
     llc_.invalidate(blk);
     for (Addr node : nodes) {
         mc_cache_.invalidate(node);
         llc_.invalidate(node);
-    }
-    if (cfg_.scheme == Scheme::Emcc) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            if (l2_[c].invalidate(ctr))
-                noteL2CounterGone(c, ctr, /*invalidated=*/true);
-        }
     }
     fault_->recoveryRefetch(blk, ctr, t, nodes);
 
@@ -1398,7 +1363,7 @@ void
 SecureSystem::invalidateStaleCounter(Addr ctr)
 {
     // Fig 23 counts the L2 invalidations.
-    if (cfg_.scheme == Scheme::Emcc) {
+    if (cfg_.countersInL2()) {
         for (unsigned c = 0; c < cfg_.cores; ++c) {
             if (l2_[c].invalidate(ctr))
                 noteL2CounterGone(c, ctr, /*invalidated=*/true);
@@ -1416,47 +1381,11 @@ RunResults::toStatSet() const
     s.set("duration_ns", duration_ns);
     s.set("instructions", static_cast<double>(instructions));
 
-    s.set("data_reads", static_cast<double>(sys.data_reads));
-    s.set("data_writes", static_cast<double>(sys.data_writes));
-    s.set("l1_hits", static_cast<double>(sys.l1_hits));
-    s.set("l2_data_hits", static_cast<double>(sys.l2_data_hits));
-    s.set("l2_data_misses", static_cast<double>(sys.l2_data_misses));
-    s.set("llc_data_hits", static_cast<double>(sys.llc_data_hits));
-    s.set("llc_data_misses", static_cast<double>(sys.llc_data_misses));
+    for (const auto &[name, member] : kSysCounters)
+        s.set(name, static_cast<double>(sys.*member));
     s.set("l2_miss_latency_avg_ns",
           safeRatio(sys.l2_miss_latency_sum_ns,
                     static_cast<double>(sys.l2_miss_latency_count)));
-    s.set("mc_ctr_hits", static_cast<double>(sys.mc_ctr_hits));
-    s.set("llc_ctr_hits", static_cast<double>(sys.llc_ctr_hits));
-    s.set("llc_ctr_misses", static_cast<double>(sys.llc_ctr_misses));
-    s.set("emcc_l2_ctr_hits", static_cast<double>(sys.emcc_l2_ctr_hits));
-    s.set("emcc_l2_ctr_misses",
-          static_cast<double>(sys.emcc_l2_ctr_misses));
-    s.set("emcc_ctr_accesses_to_llc",
-          static_cast<double>(sys.emcc_ctr_accesses_to_llc));
-    s.set("baseline_ctr_accesses_to_llc",
-          static_cast<double>(sys.baseline_ctr_accesses_to_llc));
-    s.set("useless_ctr_accesses",
-          static_cast<double>(sys.useless_ctr_accesses));
-    s.set("l2_ctr_inserts", static_cast<double>(sys.l2_ctr_inserts));
-    s.set("l2_ctr_invalidations",
-          static_cast<double>(sys.l2_ctr_invalidations));
-    s.set("decrypted_at_l2", static_cast<double>(sys.decrypted_at_l2));
-    s.set("decrypted_at_mc", static_cast<double>(sys.decrypted_at_mc));
-    s.set("adaptive_offloads",
-          static_cast<double>(sys.adaptive_offloads));
-    s.set("overflows", static_cast<double>(sys.overflows));
-    s.set("llc_unverified_hits",
-          static_cast<double>(sys.llc_unverified_hits));
-    s.set("dynamic_off_windows",
-          static_cast<double>(sys.dynamic_off_windows));
-
-    s.set("integrity_detected",
-          static_cast<double>(sys.integrity_detected));
-    s.set("integrity_retried", static_cast<double>(sys.integrity_retried));
-    s.set("integrity_recovered",
-          static_cast<double>(sys.integrity_recovered));
-    s.set("integrity_fatal", static_cast<double>(sys.integrity_fatal));
     s.set("faults_injected", static_cast<double>(faults.injectedAll()));
     s.set("faults_detected", static_cast<double>(faults.detectedAll()));
     s.set("faults_recovered", static_cast<double>(faults.recoveredAll()));
@@ -1728,7 +1657,7 @@ SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write)
     const Tick now = curTick();
     const Addr ctr = meta_.counterBlockAddr(pa);
     const bool emcc_active =
-        cfg_.scheme == Scheme::Emcc &&
+        cfg_.countersInL2() &&
         !(cfg_.dynamic_emcc_off && !intensity_[core].emcc_on);
     bool emcc_ctr_in_l2 = false;
     if (emcc_active) {
@@ -1771,19 +1700,18 @@ SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write)
     if (cfg_.dynamic_emcc_off)
         ++intensity_[core].dram_fills;
 
-    if (cfg_.scheme == Scheme::Emcc) {
-        if (emcc_ctr_in_l2) {
-            // The counter in L2 is genuinely used for this LLC miss.
-            if (bool *used = l2_ctr_state_[core].find(ctr))
-                *used = true;
-            ++stats_.decrypted_at_l2;
-        } else {
-            // Dynamic EMCC-off phase: the MC fetches + verifies.
+    if (emcc_ctr_in_l2) {
+        // The counter in L2 is genuinely used for this LLC miss.
+        if (bool *used = l2_ctr_state_[core].find(ctr))
+            *used = true;
+        ++stats_.decrypted_at_l2;
+    } else if (cfg_.secure()) {
+        // The MC fetches + verifies: under EMCC only in a dynamic-off
+        // phase, and like the detailed path EMCC counts no MC buckets.
+        const bool l2_ctrs = cfg_.countersInL2();
+        if (l2_ctrs)
             ++stats_.decrypted_at_mc;
-            ffwdMcCounterAccess(pa, /*count_buckets=*/false);
-        }
-    } else if (cfg_.scheme != Scheme::NonSecure) {
-        ffwdMcCounterAccess(pa, /*count_buckets=*/true);
+        ffwdMcCounterAccess(pa, /*count_buckets=*/!l2_ctrs);
     }
 
     dram_.functionalTouch(pa, now, MemClass::Data, /*is_write=*/false);
@@ -1811,18 +1739,16 @@ SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets,
     // The EMCC path has already probed the LLC for this counter block
     // and missed; re-probing would only repeat the miss (and bill it to
     // the array's stats twice).
+    if (cfg_.countersInLlc() && !cfg_.countersInL2())
+        ++stats_.baseline_ctr_accesses_to_llc;
     const bool in_llc = !llc_known_miss && cfg_.countersInLlc() &&
                         llc_.access(ctr, LineClass::Counter, false);
     if (in_llc) {
         if (count_buckets)
             ++stats_.llc_ctr_hits;
-        if (cfg_.scheme == Scheme::LlcBaseline)
-            ++stats_.baseline_ctr_accesses_to_llc;
     } else {
         if (count_buckets)
             ++stats_.llc_ctr_misses;
-        if (cfg_.scheme == Scheme::LlcBaseline && cfg_.countersInLlc())
-            ++stats_.baseline_ctr_accesses_to_llc;
         // Fetch from DRAM and verify via the tree: walk up until a
         // cached (already verified) ancestor, as mcFetchCounter does.
         dram_.functionalTouch(ctr, now, MemClass::Counter, false);
@@ -1850,7 +1776,7 @@ void
 SecureSystem::ffwdMcWriteback(Addr pa)
 {
     dram_.functionalTouch(pa, curTick(), MemClass::Data, /*is_write=*/true);
-    if (cfg_.scheme == Scheme::NonSecure)
+    if (!cfg_.secure())
         return;
 
     // The MC needs the counter block resident (and dirty) to bump it.
@@ -2022,6 +1948,25 @@ SecureSystem::insertSampleMetrics(
 
 // ----------------------------------------------------------- checkpoints
 
+template <typename Self, typename F>
+void
+SecureSystem::forEachSection(Self &self, F &&f)
+{
+    f("mapper", self.mapper_);
+    f("design", *self.design_);
+    f("dram", self.dram_);
+    f("aes.mc", self.mc_aes_);
+    f("llc", self.llc_);
+    f("mc_ctr", self.mc_cache_);
+    for (unsigned c = 0; c < self.cfg_.cores; ++c) {
+        const std::string n = std::to_string(c);
+        f("core." + n, *self.cores_[c]);
+        f("l1." + n, self.l1_[c]);
+        f("l2." + n, self.l2_[c]);
+        f("aes.l2." + n, *self.l2_aes_[c]);
+    }
+}
+
 Checkpoint
 SecureSystem::saveCheckpoint() const
 {
@@ -2073,51 +2018,12 @@ SecureSystem::saveCheckpoint() const
         }
         ck.add("sys", std::move(w));
     }
-    {
+    forEachSection(*this, [&ck](const std::string &name,
+                                const auto &part) {
         CheckpointWriter w;
-        mapper_.saveState(w);
-        ck.add("mapper", std::move(w));
-    }
-    {
-        CheckpointWriter w;
-        design_->saveState(w);
-        ck.add("design", std::move(w));
-    }
-    {
-        CheckpointWriter w;
-        dram_.saveState(w);
-        ck.add("dram", std::move(w));
-    }
-    {
-        CheckpointWriter w;
-        mc_aes_.saveState(w);
-        ck.add("aes.mc", std::move(w));
-    }
-    {
-        CheckpointWriter w;
-        llc_.saveState(w);
-        ck.add("llc", std::move(w));
-    }
-    {
-        CheckpointWriter w;
-        mc_cache_.saveState(w);
-        ck.add("mc_ctr", std::move(w));
-    }
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        const std::string n = std::to_string(c);
-        CheckpointWriter wc;
-        cores_[c]->saveState(wc);
-        ck.add("core." + n, std::move(wc));
-        CheckpointWriter w1;
-        l1_[c].saveState(w1);
-        ck.add("l1." + n, std::move(w1));
-        CheckpointWriter w2;
-        l2_[c].saveState(w2);
-        ck.add("l2." + n, std::move(w2));
-        CheckpointWriter wa;
-        l2_aes_[c]->saveState(wa);
-        ck.add("aes.l2." + n, std::move(wa));
-    }
+        part.saveState(w);
+        ck.add(name, std::move(w));
+    });
     return ck;
 }
 
@@ -2150,41 +2056,10 @@ SecureSystem::restoreCheckpoint(const Checkpoint &ck)
         }
         panic_if(!r.done(), "trailing bytes in sys checkpoint section");
     }
-    {
-        CheckpointReader r = ck.reader("mapper");
-        mapper_.restoreState(r);
-    }
-    {
-        CheckpointReader r = ck.reader("design");
-        design_->restoreState(r);
-    }
-    {
-        CheckpointReader r = ck.reader("dram");
-        dram_.restoreState(r);
-    }
-    {
-        CheckpointReader r = ck.reader("aes.mc");
-        mc_aes_.restoreState(r);
-    }
-    {
-        CheckpointReader r = ck.reader("llc");
-        llc_.restoreState(r);
-    }
-    {
-        CheckpointReader r = ck.reader("mc_ctr");
-        mc_cache_.restoreState(r);
-    }
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        const std::string n = std::to_string(c);
-        CheckpointReader rc = ck.reader("core." + n);
-        cores_[c]->restoreState(rc);
-        CheckpointReader r1 = ck.reader("l1." + n);
-        l1_[c].restoreState(r1);
-        CheckpointReader r2 = ck.reader("l2." + n);
-        l2_[c].restoreState(r2);
-        CheckpointReader ra = ck.reader("aes.l2." + n);
-        l2_aes_[c]->restoreState(ra);
-    }
+    forEachSection(*this, [&ck](const std::string &name, auto &part) {
+        CheckpointReader r = ck.reader(name);
+        part.restoreState(r);
+    });
 }
 
 void

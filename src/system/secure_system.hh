@@ -300,14 +300,24 @@ class SecureSystem : public Component, public MemorySystemPort
         return finish_pool_.make(std::forward<F>(f));
     }
 
-    /** Per-L2-miss EMCC counter-path outcome. */
+    /** Per-L2-miss counter-path outcome: where this miss's data is
+     *  decrypted. Default-constructed (no counters in the L2), it
+     *  leaves decryption to the MC, if the scheme is secure at all. */
     struct CtrPath
     {
-        bool mc_decrypts = false;   ///< MC verifies (ctr missed LLC or
-                                    ///  adaptive offload)
+        bool mc_decrypts = false;   ///< EMCC hands the miss to the MC
+                                    ///  (ctr missed LLC, dynamic off
+                                    ///  or adaptive offload)
         Tick ctr_ready_at_l2 = kTickInvalid; ///< post-decode, if at L2
         Tick ctr_start = kTickInvalid; ///< tick the L2 counter lookup
                                        ///  began (ledger crypto lane)
+
+        /** The L2 decrypts: its counter is (or will be) in the L2. */
+        bool
+        atL2() const
+        {
+            return !mc_decrypts && ctr_ready_at_l2 != kTickInvalid;
+        }
     };
 
     Addr translate(unsigned core, Addr vaddr);
@@ -386,8 +396,9 @@ class SecureSystem : public Component, public MemorySystemPort
     void insertLlc(Addr pa, LineClass cls, bool dirty, Tick t,
                    bool unverified = false);
     void insertMcCache(Addr addr, LineClass cls, bool dirty, Tick t);
-    /** A written-back block bumped the counter block @p ctr: drop the
-     *  stale copies cached above the MC. */
+    /** Drop the copies of counter block @p ctr cached above the MC
+     *  (the L2s and the LLC): a writeback bumped it, or a recovery
+     *  re-fetches it. */
     void invalidateStaleCounter(Addr ctr);
 
     // ---- pooled per-LLC-miss join/walk state (slab-recycled; the
@@ -441,6 +452,10 @@ class SecureSystem : public Component, public MemorySystemPort
     void runPhase(Count budget);
     /** Step the event queue until empty — a quiesced phase boundary. */
     void drainQuiesce();
+    /** Call @p f(name, part) for every checkpoint section but "sys",
+     *  in a fixed order; @p self is const when saving. */
+    template <typename Self, typename F>
+    static void forEachSection(Self &self, F &&f);
     /** save -> scramble -> restore; state must be bit-identical after. */
     void checkpointRoundtrip();
     /** Clobber everything a checkpoint covers (restore must fix it). */

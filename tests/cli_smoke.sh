@@ -16,6 +16,14 @@
 #                      --stats-json dumps with a valid schema
 #   golden_stats       the seeded stats dump matches the checked-in
 #                      golden file (regen: tools/regen_golden.sh)
+#   scheme_golden_nonsecure
+#   scheme_golden_mconly
+#   scheme_golden_baseline
+#   scheme_golden_emcc_inclusive
+#                      the golden_stats run under --scheme nonsecure,
+#                      mconly and baseline, and under --scheme emcc
+#                      --inclusive (the unverified-LLC-hit arms), each
+#                      against its own checked-in golden
 #   trace_schema       --trace emits valid Chrome trace JSON (parses,
 #                      monotonic timestamps, every B has a matching E)
 #   stats_stdout       --stats-json - writes the same JSON to stdout
@@ -74,16 +82,14 @@ expect_exit() {
     fi
 }
 
-# sampled_golden <golden file> <scheme flags...>: the seeded --sample
-# run must match tests/golden/<golden file> byte for byte.
-sampled_golden() {
+# match_golden <golden file> <flags...>: the seeded SMALL run with
+# <flags> must dump tests/golden/<golden file> byte for byte.
+match_golden() {
     local golden="$SCRIPT_DIR/golden/$1"; shift
     expect_exit 0 "$SIM" "${SMALL[@]}" "$@" --seed 42 \
-        --sample 4 --sample-ffwd-first 8000 --ffwd 2000 \
-        --sample-warm 1000 --sample-measure 3000 \
         --stats-json stats.json || exit 1
     if ! cmp stats.json "$golden"; then
-        echo "FAIL: sampled stats diverged from $golden" >&2
+        echo "FAIL: stats dump diverged from $golden" >&2
         if command -v python3 > /dev/null; then
             python3 "$SCRIPT_DIR/check_stats.py" stats.json \
                 --golden "$golden" >&2
@@ -92,6 +98,13 @@ sampled_golden() {
         echo "  tools/regen_golden.sh <path-to-emcc_sim>" >&2
         exit 1
     fi
+}
+
+# sampled_golden <golden file> <scheme flags...>: match_golden for the
+# seeded --sample run.
+sampled_golden() {
+    match_golden "$@" --sample 4 --sample-ffwd-first 8000 --ffwd 2000 \
+        --sample-warm 1000 --sample-measure 3000
     # check_stats.py validates the sample.* schema: per-window values,
     # non-negative sd, ordered CI half-widths, mean = window average.
     if command -v python3 > /dev/null; then
@@ -149,19 +162,19 @@ case "$CASE" in
     fi
     ;;
   golden_stats)
-    expect_exit 0 "$SIM" "${SMALL[@]}" --scheme emcc --seed 42 \
-        --stats-json stats.json || exit 1
-    GOLDEN="$SCRIPT_DIR/golden/stats_bfs_emcc.json"
-    if ! cmp stats.json "$GOLDEN"; then
-        echo "FAIL: stats dump diverged from $GOLDEN" >&2
-        if command -v python3 > /dev/null; then
-            python3 "$SCRIPT_DIR/check_stats.py" stats.json \
-                --golden "$GOLDEN" >&2
-        fi
-        echo "If the change is intentional, regenerate with" >&2
-        echo "  tools/regen_golden.sh <path-to-emcc_sim>" >&2
-        exit 1
-    fi
+    match_golden stats_bfs_emcc.json --scheme emcc
+    ;;
+  scheme_golden_nonsecure)
+    match_golden stats_bfs_nonsecure.json --scheme nonsecure
+    ;;
+  scheme_golden_mconly)
+    match_golden stats_bfs_mconly.json --scheme mconly
+    ;;
+  scheme_golden_baseline)
+    match_golden stats_bfs_baseline.json --scheme baseline
+    ;;
+  scheme_golden_emcc_inclusive)
+    match_golden stats_bfs_emcc_inclusive.json --scheme emcc --inclusive
     ;;
   trace_schema)
     if ! command -v python3 > /dev/null; then
@@ -267,19 +280,7 @@ EOF
     # Detaching the monitor must leave the metric set and every value
     # exactly as it was before the resmon subsystem existed; the golden
     # holds the pre-resmon bytes (regen: tools/regen_golden.sh).
-    expect_exit 0 "$SIM" "${SMALL[@]}" --scheme emcc --seed 42 \
-        --no-resmon --stats-json stats.json || exit 1
-    GOLDEN="$SCRIPT_DIR/golden/stats_bfs_emcc_noresmon.json"
-    if ! cmp stats.json "$GOLDEN"; then
-        echo "FAIL: --no-resmon stats diverged from $GOLDEN" >&2
-        if command -v python3 > /dev/null; then
-            python3 "$SCRIPT_DIR/check_stats.py" stats.json \
-                --golden "$GOLDEN" >&2
-        fi
-        echo "If the change is intentional, regenerate with" >&2
-        echo "  tools/regen_golden.sh <path-to-emcc_sim>" >&2
-        exit 1
-    fi
+    match_golden stats_bfs_emcc_noresmon.json --scheme emcc --no-resmon
     # And no res.*/cp.* keys may leak into a detached dump.
     if grep -q '"res\.\|"cp\.' stats.json; then
         echo "FAIL: res.*/cp.* metrics present under --no-resmon" >&2

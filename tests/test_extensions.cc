@@ -207,6 +207,30 @@ TEST(StatExport, ToStatSetCoversKeyMetrics)
     EXPECT_GT(s.get("duration_ns"), 0.0);
 }
 
+TEST(StatExport, ToStatSetMatchesRegistryCounters)
+{
+    // The CSV row and the registry export the same SystemStats list:
+    // every sys.* counter appears in toStatSet() under its bare name.
+    auto cfg = tinyConfig(Scheme::Emcc);
+    cfg.inclusive_llc = true;
+    cfg.dynamic_emcc_off = true;
+    cfg.intensity_window = 512;
+    const auto r = runCfg(cfg);
+    const StatSet s = r.toStatSet();
+    unsigned matched = 0;
+    for (const auto &[name, value] : r.metrics.counters) {
+        if (name.rfind("sys.", 0) != 0)
+            continue;
+        const std::string bare = name.substr(4);
+        ASSERT_TRUE(s.has(bare)) << bare;
+        EXPECT_DOUBLE_EQ(s.get(bare), static_cast<double>(value)) << bare;
+        ++matched;
+    }
+    EXPECT_EQ(matched, 29u);
+    EXPECT_GT(s.get("inclusive_back_invalidations"), 0.0);
+    EXPECT_GT(s.get("dynamic_windows"), 0.0);
+}
+
 TEST(SchemeNames, AllDistinct)
 {
     EXPECT_STREQ(schemeName(Scheme::NonSecure), "non-secure");

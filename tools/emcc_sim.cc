@@ -438,7 +438,7 @@ runMain(int argc, char **argv)
     row("LLC counter hits", static_cast<double>(r.sys.llc_ctr_hits), 0);
     row("LLC counter misses",
         static_cast<double>(r.sys.llc_ctr_misses), 0);
-    if (cfg.scheme == Scheme::Emcc) {
+    if (cfg.countersInL2()) {
         row("decrypted at L2",
             static_cast<double>(r.sys.decrypted_at_l2), 0);
         row("decrypted at MC",

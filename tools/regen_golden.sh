@@ -1,21 +1,20 @@
 #!/bin/bash
-# Regenerate the golden files the cli.golden_stats and cli.series
-# ctests compare against. Run this (and commit the result) after an
+# Regenerate the golden files the cli.* golden cases and
+# campaign.aggregate compare against. Run this (and commit the result) after an
 # intentional change to the timing model or the metric set.
 #
 #   tools/regen_golden.sh [path-to-emcc_sim] [path-to-emcc_campaign]
 #
 # Defaults to build/tools/emcc_sim and build/tools/emcc_campaign. The
-# invocations here must stay in lockstep with the golden_stats, series,
-# and noresmon_parity cases in tests/cli_smoke.sh and with
-# tests/campaign_aggregate.sh.
+# invocations here must stay in lockstep with the golden_stats,
+# scheme_golden_*, series, noresmon_parity and sampled_golden* cases in
+# tests/cli_smoke.sh and with tests/campaign_aggregate.sh (CI reruns
+# this script and fails on any diff under tests/golden).
 set -eu
 
 REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 SIM="${1:-$REPO/build/tools/emcc_sim}"
 CAMPAIGN="${2:-$REPO/build/tools/emcc_campaign}"
-GOLDEN="$REPO/tests/golden/stats_bfs_emcc.json"
-NORESMON_GOLDEN="$REPO/tests/golden/stats_bfs_emcc_noresmon.json"
 SERIES_GOLDEN="$REPO/tests/golden/series_bfs_emcc.jsonl"
 
 if [ ! -x "$SIM" ]; then
@@ -27,15 +26,22 @@ fi
 # would silently change it.
 unset EMCC_BENCH_FAST EMCC_BENCH_FULL
 
-mkdir -p "$(dirname "$GOLDEN")"
-"$SIM" --workload BFS --warmup 5000 --measure 20000 --trace-len 40000 \
-    --scheme emcc --seed 42 --stats-json "$GOLDEN" > /dev/null
-echo "wrote $GOLDEN"
+mkdir -p "$REPO/tests/golden"
 
-"$SIM" --workload BFS --warmup 5000 --measure 20000 --trace-len 40000 \
-    --scheme emcc --seed 42 --no-resmon \
-    --stats-json "$NORESMON_GOLDEN" > /dev/null
-echo "wrote $NORESMON_GOLDEN"
+# Detailed-mode goldens (cli.golden_stats, cli.noresmon_parity and
+# cli.scheme_golden_*).
+detailed() {
+    local out="$REPO/tests/golden/$1"; shift
+    "$SIM" --workload BFS --warmup 5000 --measure 20000 --trace-len 40000 \
+        "$@" --seed 42 --stats-json "$out" > /dev/null
+    echo "wrote $out"
+}
+detailed stats_bfs_emcc.json --scheme emcc
+detailed stats_bfs_emcc_noresmon.json --scheme emcc --no-resmon
+detailed stats_bfs_nonsecure.json --scheme nonsecure
+detailed stats_bfs_mconly.json --scheme mconly
+detailed stats_bfs_baseline.json --scheme baseline
+detailed stats_bfs_emcc_inclusive.json --scheme emcc --inclusive
 
 "$SIM" --workload BFS --warmup 5000 --measure 20000 --trace-len 40000 \
     --scheme emcc --seed 42 --stats-interval 0.02 \
@@ -45,12 +51,8 @@ echo "wrote $SERIES_GOLDEN"
 # Sampled-mode goldens (cli.sampled_golden*); flags must stay in
 # lockstep with the sampled_golden* and checkpoint_identity cases.
 sampled() {
-    local out="$REPO/tests/golden/$1"; shift
-    "$SIM" --workload BFS --warmup 5000 --measure 20000 --trace-len 40000 \
-        "$@" --seed 42 --sample 4 --sample-ffwd-first 8000 \
-        --ffwd 2000 --sample-warm 1000 --sample-measure 3000 \
-        --stats-json "$out" > /dev/null
-    echo "wrote $out"
+    detailed "$@" --sample 4 --sample-ffwd-first 8000 --ffwd 2000 \
+        --sample-warm 1000 --sample-measure 3000
 }
 sampled stats_bfs_emcc_sampled.json --scheme emcc
 sampled stats_bfs_baseline_inclusive_sampled.json --scheme baseline --inclusive
